@@ -61,7 +61,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     codec = StripedCodec(sparams)
     data = Path(args.input).read_bytes()
     seed_present = args.seed is not None
-    seed = args.seed if seed_present else int.from_bytes(os.urandom(8), "little")
+    seed = args.seed if seed_present else int.from_bytes(os.urandom(32), "little")
     shards = codec.encode_file(data, seed, seed_present)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,7 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a file into n shard files")
     p.add_argument("input", help="input file")
     _add_system_flags(p)
-    p.add_argument("--seed", type=int, default=None, help="64-bit key-stream seed")
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="key-stream seed in [0, 2^256) for byte-identical shards "
+        "(default: 32 bytes of OS entropy)",
+    )
     p.add_argument("--out", required=True, help="output directory for shards")
     p.set_defaults(func=cmd_encode)
 

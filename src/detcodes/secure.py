@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -206,48 +207,55 @@ def extract_keys(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
 
 # -- key sampling ---------------------------------------------------------------
 
-_KS_TAG = b"detcodes-keystream-v1"
+_KS_TAG = b"detcodes-keystream-v2"
 
 
 class KeyStream:
-    """Deterministic uniform symbols from a seed, via hashed counter mode.
+    """Deterministic uniform symbols from a seed, via one SHAKE-256 stream.
 
-    The stream is stable across platforms and Python versions (unlike
-    random.Random), which keeps shard files byte-identical for a fixed
-    seed.  Uniformity over [0, q) uses rejection sampling on 16-bit words.
+    The XOF (FIPS 202) is keyed by a version tag, q and the seed as 32
+    little-endian bytes, and read as little-endian 16-bit words.  Words at
+    or above the largest multiple of q below 2^16 are rejected, the rest
+    are reduced mod q, so every symbol is uniform over [0, q).  The output
+    is stable across platforms and Python versions (unlike random.Random),
+    which keeps shard files byte-identical for a fixed seed.  Successive
+    ``draw`` calls continue the stream: ``draw(a)`` then ``draw(b)``
+    equals ``draw(a + b)``.
     """
 
-    def __init__(self, seed: int, q: int, stream: int = 0) -> None:
+    def __init__(self, seed: int, q: int) -> None:
         if q < 2 or q >= 1 << 16:
             raise ValueError(f"modulus {q} out of supported range [2, 2^16)")
+        seed = operator.index(seed)
+        if not 0 <= seed < 1 << 256:
+            raise ValueError(f"seed {seed} out of range [0, 2^256)")
         self.q = q
-        self._prefix = (
-            _KS_TAG
-            + int(seed).to_bytes(8, "little", signed=False)
-            + int(stream).to_bytes(8, "little", signed=False)
+        self._xof = hashlib.shake_256(
+            _KS_TAG + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
         )
-        self._counter = 0
+        self._words_used = 0
         self._limit = (1 << 16) - ((1 << 16) % q)
-
-    def _block(self) -> bytes:
-        h = hashlib.sha256(self._prefix + self._counter.to_bytes(8, "little")).digest()
-        self._counter += 1
-        return h
 
     def draw(self, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.int64)
         filled = 0
+        reject = ((1 << 16) % self.q) / (1 << 16)
         while filled < count:
-            words = np.frombuffer(self._block(), dtype="<u2").astype(np.int64)
-            words = words[words < self._limit] % self.q
-            take = min(len(words), count - filled)
-            out[filled : filled + take] = words[:take]
-            filled += take
+            need = count - filled
+            # Over-ask by twice the expected rejections; a short batch loops.
+            start, size = self._words_used, need + int(2 * need * reject) + 16
+            # hashlib cannot resume a squeeze, so squeeze the prefix again.
+            raw = self._xof.digest(2 * (start + size))[2 * start :]
+            words = np.frombuffer(raw, dtype="<u2")
+            accepted = np.flatnonzero(words < self._limit)[:need]
+            out[filled : filled + len(accepted)] = words[accepted] % self.q
+            filled += len(accepted)
+            self._words_used += size if filled < count else int(accepted[-1]) + 1
         return out
 
 
-def sample_keys(count: int, seed: int, q: int, stream: int = 0) -> np.ndarray:
+def sample_keys(count: int, seed: int, q: int) -> np.ndarray:
     """Draw ``count`` uniform field symbols; same arguments, same symbols."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return KeyStream(seed, q, stream).draw(count)
+    return KeyStream(seed, q).draw(count)

@@ -2,10 +2,11 @@
 
 A file is packed into field symbols at floor(log2 q) bits per symbol,
 split into stripes of F_s secrets each (F for plain layouts), and every
-stripe is assembled with fresh keys and encoded; shard i holds row i of
-every stripe's codeword.  Each shard is self-describing: a 52-byte header
-(magic ``DETC`` plus twelve little-endian 4-byte integers) followed by
-the payload as little-endian 2-byte symbols.
+stripe is assembled with fresh keys, the next run of the file's single
+key stream, and encoded; shard i holds row i of every stripe's codeword.
+Each shard is self-describing: a 52-byte header (magic ``DETC`` plus
+twelve little-endian 4-byte integers) followed by the payload as
+little-endian 2-byte symbols, each below q.
 """
 
 from __future__ import annotations
@@ -118,7 +119,11 @@ class Shard:
             raise ShardFormatError(
                 f"payload is {len(body)} bytes, expected {2 * header.payload_symbols}"
             )
-        symbols = np.frombuffer(body, dtype="<u2").astype(np.int64)
+        symbols = np.frombuffer(body, dtype="<u2")
+        if (symbols >= header.q).any():
+            raise ShardFormatError(
+                f"shard for node {header.node_id} holds symbols outside GF({header.q})"
+            )
         return cls(header, symbols)
 
 
@@ -272,9 +277,12 @@ class StripedCodec:
             stripes, per
         )
         nk = self.layout.key_count
-        keys = np.stack(
-            [KeyStream(seed, self.q, stream=i).draw(nk) for i in range(stripes)]
-        ) if nk else np.zeros((stripes, 0), dtype=np.int64)
+        stream = KeyStream(seed, self.q)  # checks the seed for every layout
+        keys = (
+            stream.draw(stripes * nk).reshape(stripes, nk)
+            if nk
+            else np.zeros((stripes, 0), dtype=np.int64)
+        )
         cb = self.encode_batch(self.assemble_batch(secrets, keys))
         shards = []
         for node in range(1, params.n + 1):

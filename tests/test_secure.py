@@ -18,6 +18,7 @@ from detcodes.secure import (
     sample_keys,
     secret_capacity,
 )
+from detcodes.shards import StripedCodec
 from detcodes.subsets import binom
 
 
@@ -199,8 +200,6 @@ def test_sample_keys_determinism_and_bounds():
     assert sample_keys(0, seed=7, q=11).size == 0
     c = sample_keys(100, seed=8, q=11)
     assert not np.array_equal(a, c)
-    d = sample_keys(100, seed=7, q=11, stream=1)
-    assert not np.array_equal(a, d)
     assert a.min() >= 0 and a.max() < 11
     with pytest.raises(ValueError):
         sample_keys(-1, seed=0, q=11)
@@ -232,8 +231,53 @@ def test_assemble_extract_roundtrip_property(data):
 
 def test_key_stream_uniformity_chi_square():
     # deterministic stream, so this is a frozen sanity check, not a flake
-    draws = KeyStream(0, 7).draw(100_000)
-    counts = np.bincount(draws, minlength=7)
-    n, p = 100_000, 1 / 7
-    sigma = (n * p * (1 - p)) ** 0.5
-    assert np.all(np.abs(counts - n * p) < 3 * sigma)
+    for q in (7, 11):
+        draws = KeyStream(0, q).draw(100_000)
+        counts = np.bincount(draws, minlength=q)
+        assert len(counts) == q
+        n, p = 100_000, 1 / q
+        sigma = (n * p * (1 - p)) ** 0.5
+        assert np.all(np.abs(counts - n * p) < 3 * sigma)
+
+
+@pytest.mark.parametrize(
+    "q, first16",
+    [
+        (11, [0, 3, 1, 10, 2, 6, 8, 7, 0, 9, 5, 9, 3, 0, 2, 0]),
+        (65521, [57377, 63964, 58466, 35959, 35625, 53913, 39482, 16596,
+                 59748, 6530, 44193, 16762, 32698, 18283, 4636, 44416]),
+    ],
+    ids=["q11", "q65521"],
+)
+def test_key_stream_known_answers(q, first16):
+    # Changing these bytes changes every fixed-seed shard: do it on purpose.
+    assert KeyStream(0, q).draw(16).tolist() == first16
+
+
+@pytest.mark.parametrize("q", [2, 11, 32771, 65521])
+def test_key_stream_draws_continue_the_stream(q):
+    # q = 32771 rejects about half of all words, so short batches loop.
+    whole = KeyStream(5, q).draw(5000)
+    ks = KeyStream(5, q)
+    parts = [ks.draw(c) for c in (0, 1, 999, 0, 1500, 2500)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert whole.min() >= 0 and whole.max() < q
+
+
+def test_key_stream_seed_range():
+    top = 2**256 - 1
+    assert not np.array_equal(KeyStream(top, 11).draw(64), KeyStream(0, 11).draw(64))
+    for bad in (-1, 2**256):
+        with pytest.raises(ValueError, match="seed"):
+            KeyStream(bad, 11)
+    with pytest.raises(TypeError):
+        KeyStream(1.5, 11)
+
+
+def test_type_ii_stripes_get_fresh_keys():
+    codec = StripedCodec(SecureParams(system(8, 6, 2), 2, Scheme.TYPE_II))
+    shards = codec.encode_file(bytes(64), seed=0, seed_present=True)
+    alpha = codec.params.alpha
+    cw = np.stack([s.symbols.reshape(-1, alpha) for s in shards], axis=1)
+    assert cw.shape[0] > 2
+    assert not np.array_equal(cw[0], cw[1])

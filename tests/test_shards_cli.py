@@ -1,6 +1,8 @@
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,39 @@ def test_large_file_encode_repair_recover_roundtrip(scheme, ell, size):
     assert codec.recover_file(mixed) == data
 
 
+V1_TYPE2 = Path(__file__).parent / "data" / "type2_v1"
+
+
+def test_v1_type_ii_shards_still_recover_and_repair():
+    # Shards of a Type-II (8,6,2,ell=2,q=11) file, encoded with --seed 2718
+    # by a build that drew keys from the per-stripe SHA-256 counter stream.
+    # Recover and repair never regenerate keys, so they stay bit-exact.
+    data = (V1_TYPE2 / "input.bin").read_bytes()
+    shards = [read_shard(p) for p in sorted(V1_TYPE2.glob("shard_*.detc"))]
+    assert [s.header.node_id for s in shards] == list(range(1, 9))
+    head = shards[0].header
+    assert (head.scheme, head.q, head.n, head.d, head.m, head.ell) == (
+        Scheme.TYPE_II, 11, 8, 6, 2, 2,
+    )
+    codec = codec_for_headers(shards)
+    for subset in combinations(shards, 6):
+        assert codec.recover_file(subset) == data
+    for failed in range(1, 9):
+        helpers = [s for s in shards if s.header.node_id != failed][:6]
+        rebuilt, _ = codec.repair_shard(failed, helpers)
+        assert rebuilt.to_bytes() == shards[failed - 1].to_bytes()
+
+
+def test_out_of_field_symbol_rejected_on_read():
+    codec = make_codec()
+    raw = bytearray(codec.encode_file(b"abc", seed=1, seed_present=True)[0].to_bytes())
+    raw[52:54] = (60000).to_bytes(2, "little")
+    with pytest.raises(ShardFormatError, match="outside GF"):
+        Shard.from_bytes(bytes(raw))
+    raw[52:54] = (10).to_bytes(2, "little")
+    assert Shard.from_bytes(bytes(raw)).symbols[0] == 10
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -280,3 +315,35 @@ def test_cli_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "1,2" in proc.stdout
+
+
+@pytest.mark.parametrize("seed", [-1, 2**256], ids=["negative", "2^256"])
+def test_cli_seed_out_of_range_exit_code(tmp_path, capsys, seed):
+    inp = tmp_path / "x"
+    inp.write_bytes(b"x")
+    for scheme, ell in (("type2", 2), ("plain", 0)):
+        rc = run_cli(
+            "encode", inp, "--out", tmp_path / "o", "--n", 8, "--d", 6, "--m", 2,
+            "--scheme", scheme, "--ell", ell, "--seed", seed,
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed") and "Traceback" not in err
+
+
+def test_cli_out_of_field_shard_exit_code(tmp_path, capsys):
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(b"hello")
+    out = tmp_path / "sh"
+    assert run_cli("encode", inp, "--out", out, "--n", 8, "--d", 6, "--m", 2,
+                   "--q", 11, "--seed", 3) == 0
+    files = sorted(out.glob("*.detc"))
+    raw = bytearray(files[0].read_bytes())
+    raw[-2:] = (60000).to_bytes(2, "little")
+    files[0].write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run_cli("recover", *files[:6], "--out", tmp_path / "r.bin") == 2
+    assert run_cli("repair", *files[:6], "--failed", 8, "--out", tmp_path / "r.detc") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert "outside GF(11)" in err[0]
