@@ -105,17 +105,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     d, m, ell = base.d, base.m, sparams.ell
     fs = secret_capacity(d, ell, m, sparams.scheme)
     nk = key_count(d, ell, m, sparams.scheme)
-    print(
-        f"system (n={base.n}, k=d={d}, m={m}) q={base.q}: "
-        f"F={base.file_size} alpha={base.alpha} beta={base.beta}"
-    )
-    print(f"scheme={sparams.scheme.value} ell={ell}: Fs={fs} keys={nk}")
     from .code import vandermonde_encoder
     from .secure import build_layout
 
     layout = build_layout(sparams)
     psi = vandermonde_encoder(base)
     rows = audit_sweep(layout, psi, max_set_size=args.max_set_size)
+    print(
+        f"system (n={base.n}, k=d={d}, m={m}) q={base.q}: "
+        f"F={base.file_size} alpha={base.alpha} beta={base.beta}"
+    )
+    print(f"scheme={sparams.scheme.value} ell={ell}: Fs={fs} keys={nk}")
     print(AUDIT_CSV_HEADER)
     for row in rows:
         print(row.as_csv())

@@ -237,13 +237,9 @@ class NodeShare:
         object.__setattr__(self, "values", v)
 
 
-def codeword_matrix(M: GFMatrix, psi: GFMatrix) -> GFMatrix:
-    return psi @ M
-
-
 def encode(M: GFMatrix, psi: GFMatrix) -> list[NodeShare]:
     """Shares for all n nodes; share i is row i of Psi @ M."""
-    C = codeword_matrix(M, psi)
+    C = psi @ M
     return [NodeShare(i + 1, C.a[i]) for i in range(C.rows)]
 
 

@@ -71,26 +71,40 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
     Since columns are processed left to right, the number of pivots below
     any column index k is exactly the rank of the first k columns; rank
     queries for a matrix and a column prefix share one elimination.
+
+    Reduction mod q is delayed (Dumas, Giorgi & Pernet, TOMS 2008): each
+    step reduces only the inspected column and the pivot row, and
+    subtracts their outer product from the trailing block unreduced.  A
+    step moves an entry by less than (q-1)^2, so the block is reduced
+    once every 2^62 // (q-1)^2 steps and int64 never overflows; for
+    q < 2^16 that is never in practice, for q near 2^31 every step.
     """
     a = np.array(a, dtype=np.int64) % q
     rows, cols = a.shape
+    period = max(1, (1 << 62) // (q - 1) ** 2)
+    pending = 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c] % q
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        inv = pow(int(a[r, c]), q - 2, q)
-        a[r, c:] = a[r, c:] * inv % q
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % q
+        k = int(nz[0])
+        if nz.size > 1:
+            pivot_row = a[r + k, c + 1 :] % q * pow(int(col[k]), q - 2, q) % q
+            if pending == period:
+                a[r:, c + 1 :] %= q
+                pending = 0
+            below = nz[1:]
+            a[r + below, c + 1 :] -= col[below, None] * pivot_row
+            pending += 1
+        if k:
+            # Row r is zero in column c, so it moves to the pivot row's
+            # slot; slot r is never read again.
+            a[r + k, c + 1 :] = a[r, c + 1 :]
         pivots.append(c)
         r += 1
     return pivots
@@ -171,9 +185,6 @@ class GFMatrix:
 
     def __neg__(self) -> "GFMatrix":
         return GFMatrix(self.q, -self.a)
-
-    def scale(self, c: int) -> "GFMatrix":
-        return GFMatrix(self.q, self.a * (c % self.q))
 
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
         self._check_field(other)

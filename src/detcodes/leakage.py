@@ -23,6 +23,7 @@ import numpy as np
 
 from .code import (
     SystemParams,
+    packet_support_basis,
     parity_partners,
     parity_holds,
     repair_encoder,
@@ -141,6 +142,27 @@ def observe_repair_traffic(
         else np.zeros((0, maps.shape[2]), dtype=np.int64)
     )
     return _split(rows, layout, q, f"repair traffic into nodes {nodes}")
+
+
+def reduced_traffic_rows(
+    f: int, psi: GFMatrix, params: SystemParams, maps: np.ndarray
+) -> np.ndarray:
+    """At most d*beta rows with the row space of all repair traffic into f.
+
+    Helper h sends row h of Psi @ M @ Xi^f.  Every column of Xi^f is a
+    combination of its beta basis columns, and the helper rows of Psi
+    span the rows of their reduced echelon form E, which is the identity
+    when n-1 >= d (any d rows of Psi are invertible).  The rows of
+    E @ M @ Xi^f[:, basis], as maps of ``maps = cell_maps(layout)``,
+    therefore have every rank of the (n-1)*C(d, m-1) packet rows, and
+    they are sparse: each cell of M is one secret, key or parity sum.
+    """
+    xi = repair_encoder(f, psi, params)
+    xi_t = xi.a[:, list(packet_support_basis(xi))].T
+    helpers = [h - 1 for h in range(1, params.n + 1) if h != f]
+    echelon, pivots = psi.submatrix(helpers, range(params.d)).rref()
+    rows = np.tensordot(echelon.a[: len(pivots)], xi_t @ maps, axes=1) % params.q
+    return rows.reshape(-1, maps.shape[2])
 
 
 def observation_ranks(obs: LinearObservation) -> tuple[int, int]:
@@ -528,30 +550,27 @@ def audit_sweep(
 ) -> list[AuditRow]:
     """Audit every eavesdropper set with |L| <= ell (or the given cap)
     under the layout's own threat model (contents for Type-I, repair
-    traffic for Type-II; plain layouts audit contents)."""
+    traffic for Type-II; plain layouts audit contents).  An explicit cap
+    must lie in [1, n], so that it audits at least one set."""
     sp = layout.sparams
     params = sp.base
+    if max_set_size is not None and not 1 <= max_set_size <= params.n:
+        raise ValueError(
+            f"max set size must lie in [1, n={params.n}], got {max_set_size}"
+        )
     cap = sp.ell if max_set_size is None else max_set_size
     maps = cell_maps(layout)
     rows: list[AuditRow] = []
     type_ii = sp.scheme is Scheme.TYPE_II
     if type_ii:
-        node_maps = {
-            h: np.tensordot(psi.a[h - 1], maps, axes=1) % params.q
-            for h in range(1, params.n + 1)
+        traffic = {
+            f: reduced_traffic_rows(f, psi, params, maps)
+            for f in range(1, params.n + 1)
         }
-        packet_maps = {}
-        for f in range(1, params.n + 1):
-            xi_t = repair_encoder(f, psi, params).a.T
-            for h in range(1, params.n + 1):
-                if h != f:
-                    packet_maps[(h, f)] = xi_t @ node_maps[h] % params.q
     for size in range(1, cap + 1):
         for L in combinations(range(1, params.n + 1), size):
             if type_ii:
-                stacked = np.vstack(
-                    [packet_maps[(h, f)] for f in L for h in range(1, params.n + 1) if h != f]
-                )
+                stacked = np.vstack([traffic[f] for f in L])
                 obs = _split(stacked, layout, params.q, f"repair traffic into {L}")
             else:
                 obs = observe_node_contents(L, psi, layout, maps=maps)

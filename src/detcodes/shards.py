@@ -30,6 +30,11 @@ MAGIC = b"DETC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4s12I")
 
+# Bound on the codec's tables: the d x C(d,m) message matrix and the n x d
+# encoder.  Message cells cost 15-25 us each to lay out (2 s at the bound);
+# a header claiming (n,d,m) = (45,40,20) would otherwise ask for 5.5e12.
+MAX_TABLE_CELLS = 1 << 17
+
 _SCHEME_TAG = {Scheme.PLAIN: 0, Scheme.TYPE_I: 1, Scheme.TYPE_II: 2}
 _TAG_SCHEME = {v: k for k, v in _SCHEME_TAG.items()}
 
@@ -83,6 +88,8 @@ class ShardHeader:
             raise ShardFormatError(f"unsupported format version {ver}")
         if tag not in _TAG_SCHEME:
             raise ShardFormatError(f"unknown scheme tag {tag}")
+        if not 1 <= node <= n:
+            raise ShardFormatError(f"node id {node} outside [1, n={n}]")
         return cls(ver, _TAG_SCHEME[tag], q, n, d, m, ell, node, syms, bool(seeded), length, pad)
 
     def secure_params(self) -> SecureParams:
@@ -191,6 +198,12 @@ class StripedCodec:
         self.q = params.q
         if self.q >= 1 << 16:
             raise ValueError("shard format stores 2-byte symbols; need q < 2^16")
+        cells = params.d * max(params.alpha, params.n)
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(
+                f"(n,d,m) = ({params.n},{params.d},{params.m}) needs {cells} "
+                f"table cells; the codec limit is {MAX_TABLE_CELLS}"
+            )
         self.layout: MessageLayout = build_layout(sparams)
         self.psi: GFMatrix = vandermonde_encoder(params)
         cols = params.columns

@@ -8,6 +8,8 @@ from detcodes.gfmatrix import (
     GFMatrix,
     InconsistentSystemError,
     SingularMatrixError,
+    echelon_pivots,
+    row_reduce,
 )
 
 
@@ -161,3 +163,55 @@ def test_exhaustive_2x2_3x3_gf3_consistency():
             else:
                 with pytest.raises(SingularMatrixError):
                     m.inv()
+
+
+def low_rank(rng, rows, cols, k, q):
+    """A product of random rows x k and k x cols factors, mod q."""
+    u, v = rng.integers(0, q, (rows, k)), rng.integers(0, q, (k, cols))
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for j in range(k):  # one term at a time: q^2 stays below 2^63
+        a = (a + u[:, [j]] * v[j] % q) % q
+    return a
+
+
+@st.composite
+def elimination_case(draw):
+    """(q, a): random, low-rank, sparse, tall, wide or empty matrices.
+
+    At q = 2^31 - 1 one pivot step can move an entry by almost 2^62, so
+    the kernel's periodic reduction runs on every step there.
+    """
+    q = draw(st.sampled_from([2, 3, 11, 65521, 2**31 - 1]))
+    kind = draw(st.sampled_from(["random", "low-rank", "sparse", "tall", "wide", "empty"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from([(0, 0), (0, 5), (5, 0)]))
+    elif kind == "tall":
+        rows, cols = draw(st.integers(9, 40)), draw(st.integers(1, 8))
+    elif kind == "wide":
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(9, 40))
+    else:
+        rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    a = rng.integers(0, q, (rows, cols))
+    if kind == "low-rank":
+        a = low_rank(rng, rows, cols, draw(st.integers(0, min(rows, cols))), q)
+    elif kind == "sparse":  # zero leading entries force row moves
+        a = a * (rng.random((rows, cols)) < 0.15)
+    return q, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_case())
+def test_echelon_pivots_match_row_reduce(case):
+    q, a = case
+    assert echelon_pivots(a, q) == row_reduce(a, q)[1]
+
+
+@pytest.mark.parametrize("q", [65521, 2**31 - 1])
+@pytest.mark.parametrize("rows,cols,k", [(30, 20, 7), (20, 30, 13), (40, 40, 25)])
+def test_echelon_pivots_low_rank_large_fields(q, rows, cols, k):
+    # Exact cancellation over many pivot steps: a kernel that let entries
+    # overflow int64 would leave nonzero residues and overcount the rank.
+    a = low_rank(np.random.default_rng(rows * cols + k), rows, cols, k, q)
+    pivots = echelon_pivots(a, q)
+    assert pivots == row_reduce(a, q)[1] and len(pivots) == k

@@ -22,6 +22,7 @@ from detcodes.leakage import (
     observation_entropy,
     observe_node_contents,
     observe_repair_traffic,
+    reduced_traffic_rows,
     type_i_decode_order,
     xi_block_triangularize,
     xi_top_fullrank,
@@ -156,6 +157,25 @@ def test_type_ii_view_spans_type_i_view():
             obs1 = observe_node_contents(L, psi, lay, maps=maps)
             obs2 = observe_repair_traffic(L, psi, lay, maps=maps)
             assert mutual_information(obs1) <= mutual_information(obs2)
+
+
+@pytest.mark.parametrize("n,d,m,q", [(8, 6, 2, 11), (6, 6, 2, 7)], ids=["n>d", "n=d"])
+def test_reduced_traffic_rows_keep_every_rank(n, d, m, q):
+    # The audit's at most d*beta rows per failed node span the same space
+    # as the literal (n-1)*C(d, m-1) packet rows, key columns included.
+    ps, lay, psi, *_ = make_instance(n, d, m, 2, Scheme.TYPE_II, q=q)
+    maps = cell_maps(lay)
+    fs = lay.secret_count
+    reduced = {f: reduced_traffic_rows(f, psi, ps, maps) for f in range(1, n + 1)}
+    assert all(rows.shape[0] <= d * ps.beta for rows in reduced.values())
+    for size in (1, 2):
+        for L in combinations(range(1, n + 1), size):
+            view = np.vstack([reduced[f] for f in L])
+            full = observe_repair_traffic(L, psi, lay, maps=maps).full_map()
+            assert view.shape[0] < full.shape[0]
+            rank = rank_of(view, q)
+            assert rank == rank_of(full, q) == rank_of(np.vstack([view, full]), q)
+            assert rank_of(view[:, fs:], q) == rank_of(full[:, fs:], q)
 
 
 def test_leakage_beyond_budget_reported_not_asserted():
@@ -356,3 +376,11 @@ def test_audit_sweep_and_pass():
     assert all(r.leaked == 0 for r in rows)
     csv = rows[0].as_csv()
     assert csv.startswith("type1,")
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 8])
+def test_audit_sweep_rejects_cap_outside_node_range(cap):
+    ps, lay, psi, *_ = make_instance(7, 5, 2, 2, Scheme.TYPE_II)
+    with pytest.raises(ValueError, match="max set size"):
+        audit_sweep(lay, psi, max_set_size=cap)
+    assert len(audit_sweep(lay, psi, max_set_size=1)) == 7

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from detcodes.code import system
 from detcodes.secure import Scheme, SecureParams
 from detcodes.shards import (
     FORMAT_VERSION,
+    MAX_TABLE_CELLS,
     Shard,
     ShardFormatError,
     ShardHeader,
@@ -190,7 +192,8 @@ def test_large_file_encode_repair_recover_roundtrip(scheme, ell, size):
     assert codec.recover_file(mixed) == data
 
 
-V1_TYPE2 = Path(__file__).parent / "data" / "type2_v1"
+DATA = Path(__file__).parent / "data"
+V1_TYPE2 = DATA / "type2_v1"
 
 
 def test_v1_type_ii_shards_still_recover_and_repair():
@@ -286,6 +289,29 @@ def test_cli_audit_ell_zero_vacuous_pass(capsys):
     assert "audited 0 eavesdropper sets" in text and "PASS" in text
 
 
+def test_cli_audit_n_equals_d_matches_checked_in_output(capsys):
+    # At n = d every view keeps all n-1 = d-1 helpers.  Their traffic does
+    # not pin down the keys, so the sweep prints FAIL, byte for byte as
+    # recorded from the literal (n-1)*C(d,m-1)-row views.
+    expected = (DATA / "audit-type2-n6-d6-m2-ell2-q7.txt").read_text()
+    assert run_cli(
+        "audit", "--n", 6, "--d", 6, "--m", 2, "--scheme", "type2", "--ell", 2, "--q", 7
+    ) == 1
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 9])
+def test_cli_audit_max_set_size_out_of_range_exit_code(capsys, cap):
+    rc = run_cli(
+        "audit", "--n", 8, "--d", 6, "--m", 2, "--scheme", "type2", "--ell", 2,
+        "--max-set-size", cap,
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: max set size") and "Traceback" not in err
+
+
 def test_cli_tradeoff_and_pareto(capsys):
     assert run_cli("tradeoff", "--d", "10", "--ell", "2", "--scheme", "type2") == 0
     rows = capsys.readouterr().out.strip().splitlines()
@@ -347,3 +373,38 @@ def test_cli_out_of_field_shard_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
     assert "outside GF(11)" in err[0]
+
+
+@pytest.mark.parametrize("node", [0, 99])
+def test_cli_node_id_outside_header_range_exit_code(tmp_path, capsys, node):
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(b"hello")
+    out = tmp_path / "sh"
+    assert run_cli("encode", inp, "--out", out, "--n", 8, "--d", 6, "--m", 2, "--seed", 3) == 0
+    files = sorted(out.glob("*.detc"))
+    raw = bytearray(files[0].read_bytes())
+    raw[32:36] = node.to_bytes(4, "little")  # the node id field of the header
+    files[0].write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run_cli("recover", *files[:6], "--out", tmp_path / "r.bin") == 2
+    assert run_cli("repair", *files[:6], "--failed", 8, "--out", tmp_path / "r.detc") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: node id {node} outside [1, n=8]"] * 2
+
+
+@pytest.mark.parametrize(
+    "n,d,m,q", [(45, 40, 20, 47), (400, 400, 400, 401)], ids=["message", "encoder"]
+)
+def test_cli_hostile_header_rejected_quickly(tmp_path, capsys, n, d, m, q):
+    # A bare 52-byte header may claim any code; its tables are bounded
+    # before they are built: d*C(d,m) = 5.5e12 cells, or a 400 x 400 Psi.
+    header = ShardHeader(FORMAT_VERSION, Scheme.PLAIN, q, n, d, m, 0, 1, 0, False, 0, 0)
+    path = tmp_path / "shard_001.detc"
+    path.write_bytes(header.to_bytes())
+    start = time.perf_counter()
+    assert run_cli("recover", path, "--out", tmp_path / "r.bin") == 2
+    assert run_cli("repair", path, "--failed", 2, "--out", tmp_path / "r.detc") == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and f"limit is {MAX_TABLE_CELLS}" in line for line in err)
