@@ -275,15 +275,17 @@ def repair_encoder(f: int, psi: GFMatrix, params: SystemParams) -> GFMatrix:
     q = params.q
     rows = params.columns
     cols = params.repair_columns
+    row = {I: i for i, I in enumerate(rows.subsets())}
+    psi_f = [int(v) for v in psi.a[f - 1]]
     arr = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for j, J in enumerate(cols.subsets()):
-        Jset = set(J)
+        pos = 0  # elements of J below x, so ind(I, x) = pos + 1
         for x in range(1, params.d + 1):
-            if x in Jset:
+            if pos < len(J) and J[pos] == x:
+                pos += 1
                 continue
-            I = tuple(sorted(Jset | {x}))
-            sign = (-1) ** ind(I, x)
-            arr[rows.rank(I), j] = sign * int(psi.a[f - 1, x - 1]) % q
+            I = J[:pos] + (x,) + J[pos:]
+            arr[row[I], j] = (-1) ** (pos + 1) * psi_f[x - 1] % q
     return GFMatrix(q, arr)
 
 

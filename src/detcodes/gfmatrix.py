@@ -78,8 +78,10 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
     step moves an entry by less than (q-1)^2, so the block is reduced
     once every 2^62 // (q-1)^2 steps and int64 never overflows; for
     q < 2^16 that is never in practice, for q near 2^31 every step.
+    The input is never modified: reducing it mod q makes the one copy
+    the elimination works in.
     """
-    a = np.array(a, dtype=np.int64) % q
+    a = np.asarray(a, dtype=np.int64) % q
     rows, cols = a.shape
     period = max(1, (1 << 62) // (q - 1) ** 2)
     pending = 0

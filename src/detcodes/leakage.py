@@ -165,14 +165,18 @@ def reduced_traffic_rows(
     return rows.reshape(-1, maps.shape[2])
 
 
-def observation_ranks(obs: LinearObservation) -> tuple[int, int]:
+def observation_ranks(
+    obs: LinearObservation, key_first: np.ndarray | None = None
+) -> tuple[int, int]:
     """(rank of the whole view, rank of its key part) in one elimination.
 
     Columns are ordered keys first, so pivots landing in the key block
     count rank(M_Q) while the total pivot count is rank([M_S | M_Q]).
+    A caller that already holds the view as [M_Q | M_S] passes it as
+    ``key_first``, which saves concatenating the two maps again.
     """
     nk = obs.key_map.shape[1]
-    stacked = np.hstack([obs.key_map, obs.secret_map])
+    stacked = np.hstack([obs.key_map, obs.secret_map]) if key_first is None else key_first
     if stacked.size == 0:
         return 0, 0
     pivots = echelon_pivots(stacked, obs.q)
@@ -563,18 +567,25 @@ def audit_sweep(
     rows: list[AuditRow] = []
     type_ii = sp.scheme is Scheme.TYPE_II
     if type_ii:
+        # Views are built key first, [M_Q | M_S], the order they are
+        # eliminated in, so each set's stack goes to the kernel as is.
+        fs, nk = layout.secret_count, layout.key_count
+        key_first_maps = np.concatenate([maps[..., fs:], maps[..., :fs]], axis=2)
         traffic = {
-            f: reduced_traffic_rows(f, psi, params, maps)
+            f: reduced_traffic_rows(f, psi, params, key_first_maps)
             for f in range(1, params.n + 1)
         }
     for size in range(1, cap + 1):
         for L in combinations(range(1, params.n + 1), size):
             if type_ii:
                 stacked = np.vstack([traffic[f] for f in L])
-                obs = _split(stacked, layout, params.q, f"repair traffic into {L}")
+                obs = LinearObservation(
+                    params.q, stacked[:, nk:], stacked[:, :nk], f"repair traffic into {L}"
+                )
+                entropy, key_rank = observation_ranks(obs, key_first=stacked)
             else:
                 obs = observe_node_contents(L, psi, layout, maps=maps)
-            entropy, key_rank = observation_ranks(obs)
+                entropy, key_rank = observation_ranks(obs)
             rows.append(
                 AuditRow(
                     sp.scheme,

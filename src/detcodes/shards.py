@@ -24,7 +24,6 @@ from .code import SystemParams, repair_encoder, vandermonde_encoder
 from .gf import Field
 from .gfmatrix import GFMatrix
 from .secure import KeyStream, MessageLayout, Scheme, SecureParams, build_layout
-from .subsets import ind
 
 MAGIC = b"DETC"
 FORMAT_VERSION = 1
@@ -104,10 +103,10 @@ class ShardHeader:
 @dataclass(frozen=True)
 class Shard:
     header: ShardHeader
-    symbols: np.ndarray
+    symbols: np.ndarray  # read-only uint16, stripe after stripe
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.symbols, dtype=np.int64)
+        s = np.asarray(self.symbols, dtype=np.uint16)
         s.setflags(write=False)
         object.__setattr__(self, "symbols", s)
         if len(s) != self.header.payload_symbols:
@@ -116,17 +115,17 @@ class Shard:
             )
 
     def to_bytes(self) -> bytes:
-        return self.header.to_bytes() + self.symbols.astype("<u2").tobytes()
+        return self.header.to_bytes() + self.symbols.astype("<u2", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Shard":
         header = ShardHeader.from_bytes(raw)
-        body = raw[_HEADER.size :]
-        if len(body) != 2 * header.payload_symbols:
+        body = len(raw) - _HEADER.size
+        if body != 2 * header.payload_symbols:
             raise ShardFormatError(
-                f"payload is {len(body)} bytes, expected {2 * header.payload_symbols}"
+                f"payload is {body} bytes, expected {2 * header.payload_symbols}"
             )
-        symbols = np.frombuffer(body, dtype="<u2")
+        symbols = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size)
         if (symbols >= header.q).any():
             raise ShardFormatError(
                 f"shard for node {header.node_id} holds symbols outside GF({header.q})"
@@ -160,25 +159,68 @@ def symbol_width(q: int) -> int:
     return q.bit_length() - 1
 
 
+def _symbol_spans(w: int) -> list[tuple[int, int, int]]:
+    """Where each of the 8 symbols of a w-byte group lies.
+
+    Symbol j holds bits [jw, jw + w) of the group (most significant bit
+    first): bytes first..last, ending ``shift`` bits before the end of
+    byte ``last``.  For w <= 15 a symbol spans at most 3 bytes, so the
+    window of those bytes fits in 24 bits.
+    """
+    if not 1 <= w <= 15:
+        raise ValueError(f"{w}-bit symbols do not fit the format; need 2 <= q < 2^16")
+    spans = []
+    for j in range(8):
+        start, end = j * w, (j + 1) * w
+        last = (end - 1) // 8
+        spans.append((start // 8, last, 8 * (last + 1) - end))
+    return spans
+
+
 def pack_bytes(data: bytes, q: int) -> np.ndarray:
-    """Fixed-width packing of a byte stream into symbols below 2^w <= q."""
+    """Fixed-width packing of a byte stream into uint16 symbols below 2^w <= q.
+
+    The bytes are read as one big-endian bit string, cut into w-bit
+    symbols and zero-padded to a whole symbol.  Every w bytes carry
+    exactly 8 symbols, so each w-byte group is one row of 8 symbols.
+    """
     w = symbol_width(q)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    pad = (-len(bits)) % w
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
-    return bits.reshape(-1, w).astype(np.int64) @ weights
+    count = -(-8 * len(data) // w)
+    groups = -(-len(data) // w)
+    padded = np.zeros(groups * w, dtype=np.uint8)
+    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    grid = padded.reshape(groups, w).astype(np.uint32)
+    out = np.empty((groups, 8), dtype=np.uint16)
+    mask = (1 << w) - 1
+    for j, (first, last, shift) in enumerate(_symbol_spans(w)):
+        window = grid[:, first].copy()
+        for t in range(first + 1, last + 1):
+            window <<= 8
+            window |= grid[:, t]
+        out[:, j] = (window >> shift) & mask
+    return out.reshape(-1)[:count]
 
 
 def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int) -> bytes:
+    """Inverse of `pack_bytes`: the first byte_length bytes of the low w
+    bits of every symbol."""
     w = symbol_width(q)
-    symbols = np.asarray(symbols, dtype=np.int64)
+    symbols = np.asarray(symbols)
     if len(symbols) * w < 8 * byte_length:
         raise ShardFormatError("not enough symbols for the recorded file length")
-    shifts = np.arange(w - 1, -1, -1)
-    bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return np.packbits(bits[: 8 * byte_length]).tobytes()
+    groups = -(-byte_length // w)
+    used = min(len(symbols), 8 * groups)
+    padded = np.zeros(8 * groups, dtype=np.uint32)
+    padded[:used] = symbols[:used]
+    padded &= (1 << w) - 1
+    padded = padded.reshape(groups, 8)
+    out = np.zeros((groups, w), dtype=np.uint32)
+    for j, (first, last, shift) in enumerate(_symbol_spans(w)):
+        window = padded[:, j] << shift
+        for t in range(last, first - 1, -1):
+            out[:, t] |= window & 0xFF
+            window >>= 8
+    return out.astype(np.uint8).reshape(-1)[:byte_length].tobytes()
 
 
 # -- striped codec ------------------------------------------------------------------
@@ -188,7 +230,10 @@ class StripedCodec:
     """Vectorized per-stripe assemble/encode/recover/repair engine.
 
     Stripes are independent, so every operation processes all stripes of
-    a file in one batch of numpy index arithmetic.
+    a file in one batch.  Batches are cell-major: a (d, stripes, alpha)
+    array, handed around as its (stripes, d, alpha) transposed view, so
+    that every product over GF(q) is one 2-D float64 GEMM (`_mat`)
+    and row i of a codeword batch is already shard i's payload.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -196,6 +241,9 @@ class StripedCodec:
         params = sparams.base
         self.params = params
         self.q = params.q
+        # These two bounds also keep the float64 products exact: entries
+        # are below q < 2^16 and inner dimensions (d, alpha) at most 2^17,
+        # so partial sums stay below 2^49 < 2^53 (see `_mat`).
         if self.q >= 1 << 16:
             raise ValueError("shard format stores 2-byte symbols; need q < 2^16")
         cells = params.d * max(params.alpha, params.n)
@@ -206,37 +254,37 @@ class StripedCodec:
             )
         self.layout: MessageLayout = build_layout(sparams)
         self.psi: GFMatrix = vandermonde_encoder(params)
-        cols = params.columns
+        col = {I: c for c, I in enumerate(params.columns.subsets())}
         self._sr = np.array([x - 1 for x, _ in self.layout.secret_cells], dtype=np.intp)
-        self._sc = np.array([cols.rank(I) for _, I in self.layout.secret_cells], dtype=np.intp)
+        self._sc = np.array([col[I] for _, I in self.layout.secret_cells], dtype=np.intp)
         self._kr = np.array([x - 1 for x, _ in self.layout.key_cells], dtype=np.intp)
-        self._kc = np.array([cols.rank(I) for _, I in self.layout.key_cells], dtype=np.intp)
+        self._kc = np.array([col[I] for _, I in self.layout.key_cells], dtype=np.intp)
+        # Recovery computes only the rows of M that hold secrets.
+        self._secret_rows, self._sr_local = np.unique(self._sr, return_inverse=True)
         groups = list(params.parity_groups.subsets())
         m = params.m
         self._ptx = np.array([J[-1] - 1 for J in groups], dtype=np.intp)
-        self._ptc = np.array([cols.rank(J[:-1]) for J in groups], dtype=np.intp)
+        self._ptc = np.array([col[J[:-1]] for J in groups], dtype=np.intp)
         sign = np.zeros((len(groups), m), dtype=np.int64)
         py = np.zeros((len(groups), m), dtype=np.intp)
         pc = np.zeros((len(groups), m), dtype=np.intp)
         for g, J in enumerate(groups):
-            x, I = J[-1], J[:-1]
-            for k, y in enumerate(I):
-                Y = tuple(v for v in J if v != y)
-                sign[g, k] = (-1) ** (m + ind(I, y))
+            for k, y in enumerate(J[:-1]):  # ind(J[:-1], y) = k + 1
+                sign[g, k] = (-1) ** (m + k + 1)
                 py[g, k] = y - 1
-                pc[g, k] = cols.rank(Y)
+                pc[g, k] = col[J[:k] + J[k + 1 :]]
         self._psign, self._ppy, self._ppc = sign, py, pc
         # Repair recombination: share symbol I is the signed sum over x in I
         # of row x, column I \ {x} of M @ Xi^f.
-        rcols = params.repair_columns
+        rcol = {J: c for c, J in enumerate(params.repair_columns.subsets())}
         rx = np.zeros((params.alpha, m), dtype=np.intp)
         rc = np.zeros((params.alpha, m), dtype=np.intp)
         rs = np.zeros((params.alpha, m), dtype=np.int64)
-        for i, I in enumerate(cols.subsets()):
-            for k, x in enumerate(I):
+        for i, I in enumerate(col):
+            for k, x in enumerate(I):  # ind(I, x) = k + 1
                 rx[i, k] = x - 1
-                rc[i, k] = rcols.rank(tuple(v for v in I if v != x))
-                rs[i, k] = (-1) ** ind(I, x)
+                rc[i, k] = rcol[I[:k] + I[k + 1 :]]
+                rs[i, k] = (-1) ** (k + 1)
         self._rx, self._rc, self._rs = rx, rc, rs
 
     # -- stripe planning ---------------------------------------------------
@@ -255,12 +303,20 @@ class StripedCodec:
             return 1
         return max(1, -(-packed_symbols // per))
 
+    def _stack_payloads(self, shards: Sequence[Shard]) -> tuple[int, np.ndarray]:
+        """Stripe count and the (shards, stripes * alpha) payload stack."""
+        stripes, rem = divmod(shards[0].header.payload_symbols, self.params.alpha)
+        if rem:
+            raise ShardFormatError("payload length is not a whole number of stripes")
+        return stripes, np.stack([s.symbols for s in shards])
+
     # -- batched message algebra -------------------------------------------
 
     def assemble_batch(self, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Message matrices of shape (stripes, d, alpha), uint16."""
         b = secrets.shape[0]
         params = self.params
-        mb = np.zeros((b, params.d, params.alpha), dtype=np.int64)
+        mb = np.zeros((params.d, b, params.alpha), dtype=np.uint16).transpose(1, 0, 2)
         mb[:, self._sr, self._sc] = secrets % self.q
         mb[:, self._kr, self._kc] = keys % self.q
         if len(self._ptx):
@@ -269,14 +325,19 @@ class StripedCodec:
         return mb
 
     def encode_batch(self, mb: np.ndarray) -> np.ndarray:
-        return np.einsum("nd,bda->bna", self.psi.a, mb) % self.q
+        """Codewords Psi @ M of shape (stripes, n, alpha), uint16."""
+        b, d, alpha = mb.shape
+        cells = mb.transpose(1, 0, 2).reshape(d, b * alpha)
+        cb = _mod(_mat(self.psi.a, cells), self.q).astype(np.uint16)
+        return cb.reshape(self.params.n, b, alpha).transpose(1, 0, 2)
 
     def recover_batch(self, node_ids: Sequence[int], cb: np.ndarray) -> np.ndarray:
         """Secrets of every stripe from the codeword rows of d nodes."""
-        d = self.params.d
+        b, d, alpha = cb.shape
         psi_inv = self.psi.submatrix([i - 1 for i in node_ids], range(d)).inv()
-        mb = np.einsum("dk,bka->bda", psi_inv.a, cb) % self.q
-        return mb[:, self._sr, self._sc]
+        rows = _mat(psi_inv.a[self._secret_rows], cb.transpose(1, 0, 2).reshape(d, -1))
+        cells = rows.reshape(len(rows), b, alpha).transpose(1, 0, 2)
+        return _mod(cells[:, self._sr_local, self._sc], self.q)
 
     # -- file pipeline -------------------------------------------------------
 
@@ -286,9 +347,8 @@ class StripedCodec:
         stripes = self.stripe_count_for(len(syms))
         per = self.symbols_per_stripe
         padding = stripes * per - len(syms)
-        secrets = np.concatenate([syms, np.zeros(padding, dtype=np.int64)]).reshape(
-            stripes, per
-        )
+        secrets = np.zeros(stripes * per, dtype=np.uint16)
+        secrets[: len(syms)] = syms
         nk = self.layout.key_count
         stream = KeyStream(seed, self.q)  # checks the seed for every layout
         keys = (
@@ -296,7 +356,7 @@ class StripedCodec:
             if nk
             else np.zeros((stripes, 0), dtype=np.int64)
         )
-        cb = self.encode_batch(self.assemble_batch(secrets, keys))
+        cb = self.encode_batch(self.assemble_batch(secrets.reshape(stripes, per), keys))
         shards = []
         for node in range(1, params.n + 1):
             header = ShardHeader(
@@ -329,12 +389,8 @@ class StripedCodec:
             )
         chosen = list(seen.values())[: params.d]
         head = chosen[0].header
-        stripes, rem = divmod(head.payload_symbols, params.alpha)
-        if rem:
-            raise ShardFormatError("payload length is not a whole number of stripes")
-        cb = np.stack(
-            [s.symbols.reshape(stripes, params.alpha) for s in chosen], axis=1
-        )
+        stripes, stack = self._stack_payloads(chosen)
+        cb = stack.reshape(params.d, stripes, params.alpha).transpose(1, 0, 2)
         secrets = self.recover_batch([s.header.node_id for s in chosen], cb).reshape(-1)
         packed = len(secrets) - head.padding_symbols
         return unpack_bytes(secrets[:packed], self.q, head.original_length)
@@ -355,19 +411,38 @@ class StripedCodec:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
         helpers = sorted(helpers, key=lambda s: s.header.node_id)
         ids = sorted(ids)
-        head = helpers[0].header
-        stripes = head.payload_symbols // params.alpha
-        shares = np.stack(
-            [s.symbols.reshape(stripes, params.alpha) for s in helpers], axis=1
-        )
+        stripes, shares = self._stack_payloads(helpers)
         xi = repair_encoder(failed, self.psi, params)
-        payloads = np.einsum("bha,ac->bhc", shares, xi.a) % self.q
+        payloads = _mod(_mat(shares.reshape(-1, params.alpha), xi.a), self.q)
         psi_h_inv = self.psi.submatrix([i - 1 for i in ids], range(params.d)).inv()
-        mxi = np.einsum("dh,bhc->bdc", psi_h_inv.a, payloads) % self.q
+        # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
+        # signed sums below cannot overflow int64.
+        mxi = _mat(psi_h_inv.a, payloads.reshape(params.d, -1)).astype(np.int64)
+        mxi = mxi.reshape(params.d, stripes, xi.cols).transpose(1, 0, 2)
         vals = (mxi[:, self._rx, self._rc] * self._rs).sum(axis=2) % self.q
-        header = replace(head, node_id=failed)
+        header = replace(helpers[0].header, node_id=failed)
         bandwidth = stripes * params.d * params.beta
         return Shard(header, vals.reshape(-1)), bandwidth
+
+
+# Exact GF(q) products in float64.  Operands hold residues below q < 2^16
+# and every inner dimension (d or alpha) is at most MAX_TABLE_CELLS = 2^17,
+# both checked in StripedCodec.__init__.  So every partial sum of a product
+# is an integer below 2^17 * (2^16)^2 = 2^49 < 2^53, which float64 holds
+# exactly whatever the summation order (Dumas, Giorgi & Pernet, "FFLAS and
+# FFPACK", ACM TOMS 2008), and numpy runs the product as one BLAS dgemm.
+
+
+def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for residue matrices, as exact integers in float64."""
+    return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """Canonical int64 residues of exact integers held in float64."""
+    r = x.astype(np.int64)
+    r %= q
+    return r
 
 
 def codec_for_headers(shards: Sequence[Shard]) -> StripedCodec:

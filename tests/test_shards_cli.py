@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -9,8 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detcodes.cli import main
-from detcodes.code import system
-from detcodes.secure import Scheme, SecureParams
+from detcodes.code import (
+    encode,
+    recover_message,
+    repair_encoder,
+    repair_node,
+    repair_packet,
+    system,
+)
+from detcodes.secure import Scheme, SecureParams, assemble, extract_secrets
+from detcodes.subsets import ind
 from detcodes.shards import (
     FORMAT_VERSION,
     MAX_TABLE_CELLS,
@@ -59,6 +68,55 @@ def test_codec_roundtrip_property(data, seed, hdata):
     helpers = [s for s in shards if s.header.node_id != failed][:4]
     rebuilt, _ = codec.repair_shard(failed, helpers)
     assert rebuilt.to_bytes() == shards[failed - 1].to_bytes()
+
+
+# One prime per symbol width w = 1..15, from 2 up to the largest 16-bit prime.
+PRIMES_BY_WIDTH = [2, 7, 13, 31, 61, 127, 251, 509, 1021, 2039, 4093, 8191, 16381, 32749, 65521]
+
+
+def _ref_pack_bytes(data, q):
+    """Bit-array packing: one uint8 per bit, w bits per int64 symbol."""
+    w = symbol_width(q)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    pad = (-len(bits)) % w
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
+    return bits.reshape(-1, w).astype(np.int64) @ weights
+
+
+def _ref_unpack_bytes(symbols, q, byte_length):
+    w = symbol_width(q)
+    symbols = np.asarray(symbols, dtype=np.int64)
+    shifts = np.arange(w - 1, -1, -1)
+    bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return np.packbits(bits[: 8 * byte_length]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "w,q", list(enumerate(PRIMES_BY_WIDTH, start=1)), ids=[f"w{w}" for w in range(1, 16)]
+)
+def test_packing_matches_bit_array_reference(w, q):
+    assert symbol_width(q) == w
+    rng = np.random.default_rng(q)
+    for length in range(3 * w + 2):
+        for data in (rng.bytes(length), b"\xff" * length):
+            syms = pack_bytes(data, q)
+            assert syms.dtype == np.uint16
+            assert np.array_equal(syms, _ref_pack_bytes(data, q))
+            assert unpack_bytes(syms, q, length) == data
+            # Any symbols below q, some at or above 2^w, one to spare:
+            # only the low w bits of the first ceil(8 length / w) count.
+            noise = rng.integers(0, q, len(syms) + 1)
+            assert unpack_bytes(noise, q, length) == _ref_unpack_bytes(noise, q, length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=200), st.sampled_from(PRIMES_BY_WIDTH))
+def test_packing_matches_bit_array_reference_property(data, q):
+    syms = pack_bytes(data, q)
+    assert np.array_equal(syms, _ref_pack_bytes(data, q))
+    assert unpack_bytes(syms, q, len(data)) == _ref_unpack_bytes(syms, q, len(data)) == data
 
 
 def test_unpack_requires_enough_symbols():
@@ -190,6 +248,94 @@ def test_large_file_encode_repair_recover_roundtrip(scheme, ell, size):
     assert rebuilt.to_bytes() == shards[1].to_bytes()
     mixed = [rebuilt] + [shards[i] for i in (2, 3, 5, 6, 7)]
     assert codec.recover_file(mixed) == data
+
+
+@pytest.mark.parametrize(
+    "n,d,m,scheme,ell",
+    [(14, 12, 4, Scheme.PLAIN, 0), (10, 8, 3, Scheme.TYPE_II, 2)],
+    ids=["plain-14-12-4", "type2-10-8-3"],
+)
+def test_float_products_exact_at_worst_case(n, d, m, scheme, ell):
+    # Every secret and key at q - 1 in the largest field the format allows;
+    # stripe 2 is random.  Each stripe must match the single-matrix int64
+    # reference path exactly.
+    q = 65521
+    codec = StripedCodec(SecureParams(system(n, d, m, q), ell, scheme))
+    params, layout, psi = codec.params, codec.layout, codec.psi
+    alpha = params.alpha
+    rng = np.random.default_rng(1)
+    secrets = np.full((3, layout.secret_count), q - 1, dtype=np.int64)
+    keys = np.full((3, layout.key_count), q - 1, dtype=np.int64)
+    secrets[2] = rng.integers(0, q, layout.secret_count)
+    keys[2] = rng.integers(0, q, layout.key_count)
+    mb = codec.assemble_batch(secrets, keys)
+    cb = codec.encode_batch(mb)
+    header = ShardHeader(FORMAT_VERSION, scheme, q, n, d, m, ell, 1, 3 * alpha, True, 0, 0)
+    shards = [
+        Shard(replace(header, node_id=i), cb[:, i - 1, :].reshape(-1))
+        for i in range(1, n + 1)
+    ]
+    readers = list(range(n, n - d, -1))
+    recovered = codec.recover_batch(readers, cb[:, [i - 1 for i in readers], :])
+    helpers = list(range(2, d + 2))
+    rebuilt, _ = codec.repair_shard(1, [shards[h - 1] for h in helpers])
+    for b in range(3):
+        M = assemble(layout, secrets[b], keys[b])
+        assert np.array_equal(mb[b], M.a)
+        shares = encode(M, psi)
+        assert np.array_equal(cb[b], np.stack([s.values for s in shares]))
+        back = recover_message([shares[i - 1] for i in readers], psi, params)
+        assert np.array_equal(back.a, M.a)
+        assert np.array_equal(recovered[b], extract_secrets(back, layout))
+        packets = [repair_packet(shares[h - 1], 1, psi, params) for h in helpers]
+        expected = repair_node(1, packets, psi, params).values
+        assert np.array_equal(rebuilt.symbols[b * alpha : (b + 1) * alpha], expected)
+    assert np.array_equal(recovered[0], secrets[0])
+
+
+def _ranked_tables(params, layout):
+    """The codec's column tables, built with LexIndexer.rank per subset."""
+    cols, rcols, m = params.columns, params.repair_columns, params.m
+    groups = list(params.parity_groups.subsets())
+    return {
+        "_sc": [cols.rank(I) for _, I in layout.secret_cells],
+        "_kc": [cols.rank(I) for _, I in layout.key_cells],
+        "_ptc": [cols.rank(J[:-1]) for J in groups],
+        "_psign": [[(-1) ** (m + ind(J[:-1], y)) for y in J[:-1]] for J in groups],
+        "_ppc": [
+            [cols.rank(tuple(v for v in J if v != y)) for y in J[:-1]] for J in groups
+        ],
+        "_rc": [
+            [rcols.rank(tuple(v for v in I if v != x)) for x in I] for I in cols.subsets()
+        ],
+        "_rs": [[(-1) ** ind(I, x) for x in I] for I in cols.subsets()],
+    }
+
+
+def _ranked_repair_encoder(f, psi, params):
+    rows, cols = params.columns, params.repair_columns
+    arr = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, J in enumerate(cols.subsets()):
+        for x in range(1, params.d + 1):
+            if x not in J:
+                I = tuple(sorted(set(J) | {x}))
+                arr[rows.rank(I), j] = (-1) ** ind(I, x) * int(psi.a[f - 1, x - 1]) % params.q
+    return arr
+
+
+@pytest.mark.parametrize(
+    "n,d,m,scheme,ell",
+    [(14, 12, 4, Scheme.PLAIN, 0), (8, 6, 2, Scheme.TYPE_II, 2)],
+    ids=["plain-14-12-4", "type2-8-6-2"],
+)
+def test_codec_tables_match_lex_ranks(n, d, m, scheme, ell):
+    codec = StripedCodec(SecureParams(system(n, d, m, 65521), ell, scheme))
+    for name, expected in _ranked_tables(codec.params, codec.layout).items():
+        table = getattr(codec, name)
+        assert np.array_equal(table, np.reshape(expected, table.shape)), name
+    for f in range(1, n + 1):
+        xi = repair_encoder(f, codec.psi, codec.params)
+        assert np.array_equal(xi.a, _ranked_repair_encoder(f, codec.psi, codec.params))
 
 
 DATA = Path(__file__).parent / "data"
@@ -408,3 +554,27 @@ def test_cli_hostile_header_rejected_quickly(tmp_path, capsys, n, d, m, q):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith("error: ") and f"limit is {MAX_TABLE_CELLS}" in line for line in err)
+
+
+@pytest.mark.parametrize("command", ["recover", "repair"])
+def test_cli_partial_stripe_payload_exit_code(tmp_path, capsys, command):
+    # One extra symbol per shard, with payload_symbols raised to match in
+    # every header: the headers agree, but the payload ends mid-stripe.
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(b"hello")
+    out = tmp_path / "sh"
+    assert run_cli("encode", inp, "--out", out, "--n", 8, "--d", 6, "--m", 2, "--seed", 3) == 0
+    files = sorted(out.glob("*.detc"))
+    for path in files:
+        raw = bytearray(path.read_bytes())
+        count = int.from_bytes(raw[36:40], "little")  # the payload_symbols field
+        raw[36:40] = (count + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw) + b"\0\0")
+    capsys.readouterr()
+    if command == "recover":
+        rc = run_cli("recover", *files[:6], "--out", tmp_path / "r.bin")
+    else:
+        rc = run_cli("repair", *files[:6], "--failed", 8, "--out", tmp_path / "r.detc")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: payload length is not a whole number of stripes\n"
