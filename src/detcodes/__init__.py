@@ -15,7 +15,7 @@ from .gfmatrix import (
     InconsistentSystemError,
     SingularMatrixError,
 )
-from .subsets import LexIndexer, Subset, binom, ind, lex_less
+from .subsets import LexIndexer, Subset, binom, ind
 from .code import (
     CellKind,
     NodeShare,
@@ -63,7 +63,6 @@ from .leakage import (
 from .tradeoff import (
     TradeoffPoint,
     cutset_bound,
-    converse_value,
     external_bound_check,
     pareto_count,
     pareto_points_bruteforce,

@@ -7,6 +7,11 @@ outside I, and P-type (parity) when x > max I; each (m+1)-subset J of [d]
 forms a parity group whose m+1 cells satisfy an alternating-sign equation.
 Node i stores row i of Psi @ M for an n x d Vandermonde encoder Psi.
 
+Three index tables on SystemParams fix the matrix: the fill order, the
+parity groups and the repair recombination.  `close_parity` and
+`recombine` apply them to batches of matrices; every single-matrix call
+is a batch of one, and the striped file codec uses the same functions.
+
 Conventions used throughout the package: node ids and subset elements are
 1-based (matching the matrix-row labels), all numpy indices are 0-based,
 and converting between the two is always an explicit ``- 1``.
@@ -17,13 +22,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .gf import Field, smallest_prime_gt
 from .gfmatrix import GFMatrix, rank_of
-from .subsets import LexIndexer, Subset, binom, ind
+from .subsets import LexIndexer, Subset, binom
 
 
 class CellKind(enum.Enum):
@@ -39,6 +44,36 @@ def cell_kind(x: int, I: Subset) -> CellKind:
     if x < max(I):
         return CellKind.W
     return CellKind.P
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached index tables read-only: every caller shares them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True, eq=False)
+class CellSums:
+    """A table of signed cell sums: sum g adds signs[g, k] * A[rows[g, k],
+    cols[g, k]] over k.  All three arrays have shape (sums, terms)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+
+    @classmethod
+    def from_terms(cls, terms: list[list[tuple[int, int, int]]], width: int) -> "CellSums":
+        """Table of len(terms) sums, each a list of ``width`` (sign, row, col)."""
+        a = np.array(terms, dtype=np.intp).reshape(len(terms), width, 3)
+        return cls(*read_only(a[..., 1], a[..., 2], a[..., 0].astype(np.int64)))
+
+    def __getitem__(self, g: slice) -> "CellSums":
+        return CellSums(self.rows[g], self.cols[g], self.signs[g])
+
+    def sums(self, a: np.ndarray, q: int) -> np.ndarray:
+        """The (..., sums) residues mod q over a (..., rows, cols) batch."""
+        return (a[..., self.rows, self.cols] * self.signs).sum(axis=-1) % q
 
 
 @dataclass(frozen=True)
@@ -89,48 +124,83 @@ class SystemParams:
     def parity_groups(self) -> LexIndexer:
         return LexIndexer(self.d, self.m + 1)
 
+    # The three index tables that fix the message matrix, built once.
+
+    @cached_property
+    def info_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (rows, cols) of the V/W cells in the canonical fill order:
+        columns in lexicographic order, and rows 1..max I of column I top
+        to bottom (the rows below max I are parity cells)."""
+        tops = [I[-1] for I in self.columns.subsets()]
+        rows = np.concatenate([np.arange(top, dtype=np.intp) for top in tops])
+        return read_only(rows, np.repeat(np.arange(self.alpha), tops))
+
+    @cached_property
+    def parity_table(self) -> tuple[tuple[np.ndarray, np.ndarray], CellSums]:
+        """Every parity group J in lexicographic order, which sorts them by
+        the column of their P cell (max J, J - {max J}): the P cells as
+        0-based (rows, cols), and the signed partner cells that close them
+        (`parity_partners`)."""
+        col = {I: c for c, I in enumerate(self.columns.subsets())}
+        groups = [(J[-1], J[:-1]) for J in self.parity_groups.subsets()]
+        rows = np.array([x - 1 for x, _ in groups], dtype=np.intp)
+        cols = np.array([col[I] for _, I in groups], dtype=np.intp)
+        terms = [[(s, y - 1, col[Y]) for s, y, Y in parity_partners(x, I)] for x, I in groups]
+        return read_only(rows, cols), CellSums.from_terms(terms, self.m)
+
+    @cached_property
+    def repair_table(self) -> CellSums:
+        """For column I, the cells (x, I - {x}) of an alpha x C(d, m-1)
+        grid over x in I, signed (-1)^ind(I, x) (the k-th x of I has
+        ind(I, x) = k + 1): row I of every repair encoder, and the sum
+        that rebuilds symbol I of a failed node."""
+        rcol = {J: c for c, J in enumerate(self.repair_columns.subsets())}
+        terms = [
+            [((-1) ** (k + 1), x - 1, rcol[I[:k] + I[k + 1 :]]) for k, x in enumerate(I)]
+            for I in self.columns.subsets()
+        ]
+        return CellSums.from_terms(terms, self.m)
+
 
 def system(n: int, d: int, m: int, q: int | None = None) -> SystemParams:
     """Build SystemParams, defaulting q to the smallest prime above n."""
     return SystemParams(n, d, m, Field(q if q is not None else smallest_prime_gt(n)))
 
 
-def info_cells(params: SystemParams) -> Iterator[tuple[int, Subset]]:
-    """V/W cells in the canonical fill order: columns in lexicographic
-    order, rows top to bottom within each column."""
-    for I in params.columns.subsets():
-        for x in range(1, params.d + 1):
-            if cell_kind(x, I) is not CellKind.P:
-                yield x, I
+def info_cells(params: SystemParams) -> list[tuple[int, Subset]]:
+    """V/W cells (x, I) in the canonical fill order (`SystemParams.info_index`)."""
+    subsets = list(params.columns.subsets())
+    rows, cols = params.info_index
+    return [(x + 1, subsets[c]) for x, c in zip(rows.tolist(), cols.tolist())]
 
 
 def parity_partners(x: int, I: Subset) -> list[tuple[int, int, Subset]]:
-    """For P cell (x, I): list of (coefficient_sign, y, Y) such that
-    M(x, I) = sum of sign * M(y, Y), with sign in {+1, -1}."""
-    m = len(I)
-    out = []
-    for y in I:
-        Y = tuple(sorted((set(I) | {x}) - {y}))
-        out.append(((-1) ** (m + ind(I, y)), y, Y))
-    return out
+    """For P cell (x, I), x > max I: list of (coefficient_sign, y, Y) such
+    that M(x, I) = sum of sign * M(y, Y), with sign in {+1, -1}; the k-th
+    y of I has ind(I, y) = k + 1 and Y = I + {x} - {y}."""
+    J = I + (x,)
+    return [((-1) ** (len(I) + k + 1), y, J[:k] + J[k + 1 :]) for k, y in enumerate(I)]
 
 
-def fill_parity_cells(arr: np.ndarray, params: SystemParams) -> None:
-    """Compute every P cell of a message array whose V/W cells are filled.
+# -- the table-driven core: every function takes (..., d, cols) batches of any
+# integer dtype, so a single matrix is a batch of one.
 
-    Groups are processed in increasing lexicographic order of the
-    (m+1)-subset J; each parity value depends only on W cells, so the
-    order does not affect the result.
-    """
-    q = params.q
-    cols = params.columns
-    for J in params.parity_groups.subsets():
-        x = J[-1]
-        I = J[:-1]
-        total = 0
-        for sign, y, Y in parity_partners(x, I):
-            total += sign * int(arr[y - 1, cols.rank(Y)])
-        arr[x - 1, cols.rank(I)] = total % q
+
+def close_parity(mb: np.ndarray, params: SystemParams, groups: slice = slice(None)) -> np.ndarray:
+    """Fill the P cells of a (..., d, alpha) batch whose V/W cells are set,
+    in place, and return the batch.  ``groups`` selects parity groups by
+    lexicographic position; a P cell depends on W cells only, so the
+    groups may be closed in any order."""
+    (rows, cols), partners = params.parity_table
+    mb[..., rows[groups], cols[groups]] = partners[groups].sums(mb, params.q)
+    return mb
+
+
+def recombine(mxi: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Repaired share(s) of node f from a (..., d, C(d, m-1)) batch of
+    M @ Xi^f: symbol I is the signed sum over x in I of row x, column
+    I - {x}, reduced mod q."""
+    return params.repair_table.sums(mxi, params.q)
 
 
 def build_message_matrix(params: SystemParams, symbols: Sequence[int]) -> GFMatrix:
@@ -141,48 +211,18 @@ def build_message_matrix(params: SystemParams, symbols: Sequence[int]) -> GFMatr
             f"expected {params.file_size} information symbols, got {len(symbols)}"
         )
     arr = np.zeros((params.d, params.alpha), dtype=np.int64)
-    it = iter(symbols)
-    cols = params.columns
-    for x, I in info_cells(params):
-        arr[x - 1, cols.rank(I)] = next(it) % params.q
-    fill_parity_cells(arr, params)
-    return GFMatrix(params.q, arr)
-
-
-def parity_value(M: GFMatrix | np.ndarray, x: int, I: Subset, params: SystemParams) -> int:
-    """Value the P cell (x, I) must take for parity group I + {x} to close."""
-    if x <= max(I):
-        raise ValueError(f"({x}, {I}) is not a parity cell")
-    arr = M.a if isinstance(M, GFMatrix) else M
-    cols = params.columns
-    total = 0
-    for sign, y, Y in parity_partners(x, I):
-        total += sign * int(arr[y - 1, cols.rank(Y)])
-    return total % params.q
-
-
-def parity_residual(M: GFMatrix, J: Subset, params: SystemParams) -> int:
-    """Alternating-sign sum over parity group J; zero iff parity holds."""
-    cols = params.columns
-    total = 0
-    for y in J:
-        Y = tuple(v for v in J if v != y)
-        total += (-1) ** ind(J, y) * int(M.a[y - 1, cols.rank(Y)])
-    return total % params.q
+    arr[params.info_index] = np.asarray(symbols, dtype=np.int64) % params.q
+    return GFMatrix(params.q, close_parity(arr, params))
 
 
 def parity_holds(M: GFMatrix, params: SystemParams) -> bool:
-    return all(
-        parity_residual(M, J, params) == 0 for J in params.parity_groups.subsets()
-    )
+    (rows, cols), partners = params.parity_table
+    return np.array_equal(M.a[rows, cols], partners.sums(M.a, params.q))
 
 
 def info_symbols(M: GFMatrix, params: SystemParams) -> np.ndarray:
     """Read the V/W cells back out in the canonical fill order."""
-    cols = params.columns
-    return np.array(
-        [int(M.a[x - 1, cols.rank(I)]) for x, I in info_cells(params)], dtype=np.int64
-    )
+    return M.a[params.info_index]
 
 
 # -- encoding and recovery ---------------------------------------------------
@@ -272,21 +312,10 @@ def repair_encoder(f: int, psi: GFMatrix, params: SystemParams) -> GFMatrix:
     """
     if not 1 <= f <= params.n:
         raise ValueError(f"node id {f} out of range [1, {params.n}]")
-    q = params.q
-    rows = params.columns
-    cols = params.repair_columns
-    row = {I: i for i, I in enumerate(rows.subsets())}
-    psi_f = [int(v) for v in psi.a[f - 1]]
-    arr = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, J in enumerate(cols.subsets()):
-        pos = 0  # elements of J below x, so ind(I, x) = pos + 1
-        for x in range(1, params.d + 1):
-            if pos < len(J) and J[pos] == x:
-                pos += 1
-                continue
-            I = J[:pos] + (x,) + J[pos:]
-            arr[row[I], j] = (-1) ** (pos + 1) * psi_f[x - 1] % q
-    return GFMatrix(q, arr)
+    t = params.repair_table
+    arr = np.zeros((params.alpha, len(params.repair_columns)), dtype=np.int64)
+    arr[np.arange(params.alpha)[:, None], t.cols] = t.signs * psi.a[f - 1, t.rows] % params.q
+    return GFMatrix(params.q, arr)
 
 
 @dataclass(frozen=True)
@@ -319,8 +348,8 @@ def repair_node(
 ) -> NodeShare:
     """Rebuild node f's share exactly from d helper packets.
 
-    Inverts Psi on the helper rows to recover M @ Xi^f, then combines the
-    row-f signed entries column-subset by column-subset.
+    Inverts Psi on the helper rows to recover M @ Xi^f, then recombines
+    it (`recombine`).
     """
     helpers = sorted(p.helper for p in packets)
     if len(set(helpers)) != params.d or len(packets) != params.d:
@@ -333,15 +362,7 @@ def repair_node(
     stacked = np.stack([by_helper[h].values for h in helpers])
     psi_h = psi.submatrix([h - 1 for h in helpers], range(params.d))
     mxi = psi_h.inv().a @ stacked % params.q  # equals M @ Xi^f
-    rcols = params.repair_columns
-    out = np.zeros(params.alpha, dtype=np.int64)
-    for i, I in enumerate(params.columns.subsets()):
-        total = 0
-        for x in I:
-            J = tuple(v for v in I if v != x)
-            total += (-1) ** ind(I, x) * int(mxi[x - 1, rcols.rank(J)])
-        out[i] = total % params.q
-    return NodeShare(f, out)
+    return NodeShare(f, recombine(mxi, params))
 
 
 def multi_repair_rank(
@@ -362,7 +383,7 @@ def multi_repair_rank(
     return rank_of(stacked, params.q)
 
 
-# -- repair-bandwidth compression ---------------------------------------------
+# -- repair payload basis ------------------------------------------------------
 
 
 def packet_support_basis(xi: GFMatrix) -> tuple[int, ...]:
@@ -374,25 +395,6 @@ def packet_support_basis(xi: GFMatrix) -> tuple[int, ...]:
     """
     _, pivots = xi.rref()
     return pivots
-
-
-def compress_packet(packet: RepairPacket, basis: Sequence[int]) -> np.ndarray:
-    """Keep only the payload coordinates on the given column basis."""
-    return packet.values[list(basis)]
-
-
-def expand_packet(
-    compressed: np.ndarray, helper: int, f: int, xi: GFMatrix, basis: Sequence[int]
-) -> RepairPacket:
-    """Rebuild the full payload from its basis coordinates.
-
-    Every column of Xi^f is a combination of the basis columns, and the
-    receiver can derive those coefficients from Xi^f alone.
-    """
-    sub = xi.submatrix(range(xi.rows), basis)
-    coeffs, _ = sub.solve(xi)  # sub @ coeffs == xi
-    full = np.asarray(compressed, dtype=np.int64) @ coeffs.a % xi.q
-    return RepairPacket(helper, f, full)
 
 
 # -- cell-count bookkeeping ----------------------------------------------------

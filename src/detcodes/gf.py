@@ -47,30 +47,9 @@ class Field:
         if not is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
-    def element(self, value: int) -> int:
-        return value % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat; inverting zero raises."""
         a %= self.q
         if a == 0:
             raise ZeroDivisionError(f"zero has no inverse in GF({self.q})")
         return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        a %= self.q
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a, e, self.q)

@@ -212,20 +212,6 @@ class GFMatrix:
         return GFMatrix(self.q, self.a[np.ix_(ri, ci)] if ri and ci else
                         np.zeros((len(ri), len(ci)), dtype=np.int64))
 
-    @classmethod
-    def hstack(cls, mats: Sequence["GFMatrix"]) -> "GFMatrix":
-        q = mats[0].q
-        if any(m.q != q for m in mats):
-            raise ValueError("cannot stack matrices over different fields")
-        return cls(q, np.hstack([m.a for m in mats]))
-
-    @classmethod
-    def vstack(cls, mats: Sequence["GFMatrix"]) -> "GFMatrix":
-        q = mats[0].q
-        if any(m.q != q for m in mats):
-            raise ValueError("cannot stack matrices over different fields")
-        return cls(q, np.vstack([m.a for m in mats]))
-
     # -- elimination-based operations --------------------------------------
 
     def rref(self) -> tuple["GFMatrix", tuple[int, ...]]:

@@ -23,15 +23,15 @@ import numpy as np
 
 from .code import (
     SystemParams,
+    close_parity,
     packet_support_basis,
-    parity_partners,
     parity_holds,
     repair_encoder,
     repair_node,
     RepairPacket,
 )
 from .gfmatrix import GFMatrix, echelon_pivots, rank_of
-from .secure import MessageLayout, Scheme, extract_keys
+from .secure import MessageLayout, Scheme, extract_keys, place
 from .subsets import Subset, binom
 
 
@@ -65,23 +65,14 @@ class LinearObservation:
 
 def cell_maps(layout: MessageLayout) -> np.ndarray:
     """Tensor T of shape (d, alpha, F_s + |Q|): T[x-1, col(I)] expresses
-    cell (x, I) of the message matrix as a vector over (secrets, keys)."""
+    cell (x, I) of the message matrix as a vector over (secrets, keys).
+    It is the message matrix of unit secrets and keys, one per slot."""
     params = layout.sparams.base
-    q = params.q
     fs = layout.secret_count
     total = fs + layout.key_count
-    cols = params.columns
     T = np.zeros((params.d, params.alpha, total), dtype=np.int64)
-    for slot, (x, I) in enumerate(layout.secret_cells):
-        T[x - 1, cols.rank(I), slot] = 1
-    for slot, (x, I) in enumerate(layout.key_cells):
-        T[x - 1, cols.rank(I), fs + slot] = 1
-    for J in params.parity_groups.subsets():
-        x, I = J[-1], J[:-1]
-        acc = np.zeros(total, dtype=np.int64)
-        for sign, y, Y in parity_partners(x, I):
-            acc += sign * T[y - 1, cols.rank(Y)]
-        T[x - 1, cols.rank(I)] = acc % q
+    unit = np.eye(total, dtype=np.int64)
+    close_parity(place(T.transpose(2, 0, 1), layout, unit[:, :fs], unit[:, fs:]), params)
     return T
 
 
@@ -238,23 +229,18 @@ def decode_keys_type_i(
         raise ValueError(f"expected {layout.secret_count} secrets")
 
     q = params.q
-    cols = params.columns
-    secret_slot = {cell: i for i, cell in enumerate(layout.secret_cells)}
-    arr = np.zeros((params.d, params.alpha), dtype=np.int64)
+    unknown_keys = np.zeros(layout.key_count, dtype=np.int64)
+    arr = place(np.zeros((params.d, params.alpha), dtype=np.int64), layout, secrets, unknown_keys)
+    # Groups are sorted by the column of their P cell, whose partners all
+    # lie in later columns.
+    (_, group_cols), _ = params.parity_table
+    bounds = np.searchsorted(group_cols, np.arange(params.alpha + 1))
     if ell > 0:
         psi_top = psi.submatrix([i - 1 for i in nodes], range(ell))
         inv_top = psi_top.inv().a
         psi_rest = psi.submatrix([i - 1 for i in nodes], range(ell, params.d)).a
-    for I in type_i_decode_order(params):
-        c = cols.rank(I)
-        for x in range(ell + 1, params.d + 1):
-            if (x, I) in secret_slot:
-                arr[x - 1, c] = secrets[secret_slot[(x, I)]]
-            else:  # parity cell: partners live in later (already decoded) columns
-                total = 0
-                for sign, y, Y in parity_partners(x, I):
-                    total += sign * int(arr[y - 1, cols.rank(Y)])
-                arr[x - 1, c] = total % q
+    for c in range(params.alpha - 1, -1, -1):
+        close_parity(arr, params, slice(bounds[c], bounds[c + 1]))
         if ell > 0:
             low = arr[ell:, c]
             arr[:ell, c] = inv_top @ ((E[:, c] - psi_rest @ low) % q) % q
@@ -325,24 +311,16 @@ def decode_keys_type_ii(
     if missing:
         raise ValueError(f"missing repair packets for pairs {missing[:4]}")
 
-    q, d, m = params.q, params.d, params.m
-    cols = params.columns
-    rcols = params.repair_columns
+    q, d = params.q, params.d
     t = _left_column_count(params, ell)
-    c = len(rcols)
+    c = len(params.repair_columns)
 
-    # Block D (rows > ell, columns inside [ell+1:d]) from the secrets;
-    # its parity cells depend on secrets only.
+    # Block D (rows > ell, columns inside [ell+1:d]) from the secrets: its
+    # parity cells depend on secrets only, and every cell outside D is
+    # overwritten below, so the unknown keys are placed as zeros.
+    unknown_keys = np.zeros(layout.key_count, dtype=np.int64)
     arr = np.zeros((d, params.alpha), dtype=np.int64)
-    for val, (x, I) in zip(secrets, layout.secret_cells):
-        arr[x - 1, cols.rank(I)] = int(val)
-    for J in params.parity_groups.subsets():
-        if J[0] > ell:
-            x, I = J[-1], J[:-1]
-            total = 0
-            for sign, y, Y in parity_partners(x, I):
-                total += sign * int(arr[y - 1, cols.rank(Y)])
-            arr[x - 1, cols.rank(I)] = total % q
+    close_parity(place(arr, layout, secrets, unknown_keys), params)
     D = arr[ell:, t:]
 
     # Contents of the compromised nodes, each repaired from d helpers.
@@ -374,9 +352,8 @@ def decode_keys_type_ii(
     if d - ell > 0 and t > 0:
         xi_up, xi_low = xi_all[:t], xi_all[t:]
         c_xi_up = (mxi[ell:] - D @ xi_low) % q
-        hat_cols = [
-            (j - 1) * c + rcols.rank(J) for j, J in hat_column_labels(params, ell)
-        ]
+        rcol = {J: k for k, J in enumerate(params.repair_columns.subsets())}
+        hat_cols = [(j - 1) * c + rcol[J] for j, J in hat_column_labels(params, ell)]
         xi_hat = GFMatrix(q, xi_up[:, hat_cols])
         C = c_xi_up[:, hat_cols] @ xi_hat.inv().a % q
     else:

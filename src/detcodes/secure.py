@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import CellKind, SystemParams, cell_kind, fill_parity_cells, info_cells
+from .code import CellKind, SystemParams, cell_kind, close_parity, info_cells, read_only
 from .gfmatrix import GFMatrix
 from .subsets import Subset, binom
 
@@ -108,48 +108,46 @@ class MessageLayout:
     sparams: SecureParams
 
     @cached_property
-    def secret_cells(self) -> tuple[tuple[int, Subset], ...]:
+    def _is_secret(self) -> np.ndarray:
+        """Whether each cell of the fill order holds a secret: the one scan."""
         sp = self.sparams
-        return tuple(
-            (x, I)
-            for x, I in info_cells(sp.base)
-            if _free_cell_role(x, I, sp.ell, sp.scheme) is Role.SECRET
+        return np.array(
+            [_free_cell_role(x, I, sp.ell, sp.scheme) is Role.SECRET for x, I in info_cells(sp.base)],
+            dtype=bool,
         )
 
     @cached_property
+    def secret_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (rows, cols) of the secret slots, in slot order."""
+        rows, cols = self.sparams.base.info_index
+        return read_only(rows[self._is_secret], cols[self._is_secret])
+
+    @cached_property
+    def key_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (rows, cols) of the key slots, in slot order."""
+        rows, cols = self.sparams.base.info_index
+        return read_only(rows[~self._is_secret], cols[~self._is_secret])
+
+    @cached_property
+    def secret_cells(self) -> tuple[tuple[int, Subset], ...]:
+        return tuple(c for c, s in zip(info_cells(self.sparams.base), self._is_secret) if s)
+
+    @cached_property
     def key_cells(self) -> tuple[tuple[int, Subset], ...]:
-        sp = self.sparams
-        return tuple(
-            (x, I)
-            for x, I in info_cells(sp.base)
-            if _free_cell_role(x, I, sp.ell, sp.scheme) is Role.KEY
-        )
+        return tuple(c for c, s in zip(info_cells(self.sparams.base), self._is_secret) if not s)
 
     @property
     def secret_count(self) -> int:
-        return len(self.secret_cells)
+        return int(np.count_nonzero(self._is_secret))
 
     @property
     def key_count(self) -> int:
-        return len(self.key_cells)
+        return len(self._is_secret) - self.secret_count
 
     def role_of(self, x: int, I: Subset) -> Role:
         if cell_kind(x, I) is CellKind.P:
             return Role.PARITY
         return _free_cell_role(x, I, self.sparams.ell, self.sparams.scheme)
-
-    @cached_property
-    def _slot_of(self) -> dict[tuple[int, Subset], tuple[Role, int]]:
-        out: dict[tuple[int, Subset], tuple[Role, int]] = {}
-        for i, cell in enumerate(self.secret_cells):
-            out[cell] = (Role.SECRET, i)
-        for i, cell in enumerate(self.key_cells):
-            out[cell] = (Role.KEY, i)
-        return out
-
-    def slot_of(self, x: int, I: Subset) -> tuple[Role, int]:
-        """Role and slot index of a free cell; parity cells have no slot."""
-        return self._slot_of[(x, I)]
 
 
 def build_layout(sparams: SecureParams) -> MessageLayout:
@@ -163,12 +161,22 @@ def build_layout(sparams: SecureParams) -> MessageLayout:
     return layout
 
 
+def place(
+    mb: np.ndarray, layout: MessageLayout, secrets: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Write (..., F_s) secrets and (..., |Q|) keys, mod q, into their slots
+    of a zeroed (..., d, alpha) batch, in place, and return the batch."""
+    q = layout.sparams.base.q
+    mb[(..., *layout.secret_index)] = secrets % q
+    mb[(..., *layout.key_index)] = keys % q
+    return mb
+
+
 def assemble(
     layout: MessageLayout, secrets: np.ndarray | list[int], keys: np.ndarray | list[int]
 ) -> GFMatrix:
     """Place secrets and keys into their slots and close every parity group."""
-    sp = layout.sparams
-    params = sp.base
+    params = layout.sparams.base
     secrets = np.asarray(secrets, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
     if secrets.shape != (layout.secret_count,):
@@ -176,33 +184,22 @@ def assemble(
     if keys.shape != (layout.key_count,):
         raise ValueError(f"expected {layout.key_count} keys, got {keys.shape}")
     arr = np.zeros((params.d, params.alpha), dtype=np.int64)
-    cols = params.columns
-    for val, (x, I) in zip(secrets, layout.secret_cells):
-        arr[x - 1, cols.rank(I)] = int(val) % params.q
-    for val, (x, I) in zip(keys, layout.key_cells):
-        arr[x - 1, cols.rank(I)] = int(val) % params.q
-    fill_parity_cells(arr, params)
-    return GFMatrix(params.q, arr)
+    return GFMatrix(params.q, close_parity(place(arr, layout, secrets, keys), params))
+
+
+def _gather(M: GFMatrix, layout: MessageLayout, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    params = layout.sparams.base
+    if M.shape != (params.d, params.alpha):
+        raise ValueError(f"matrix shape {M.shape} does not match layout")
+    return M.a[index]
 
 
 def extract_secrets(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
-    params = layout.sparams.base
-    if M.shape != (params.d, params.alpha):
-        raise ValueError(f"matrix shape {M.shape} does not match layout")
-    cols = params.columns
-    return np.array(
-        [int(M.a[x - 1, cols.rank(I)]) for x, I in layout.secret_cells], dtype=np.int64
-    )
+    return _gather(M, layout, layout.secret_index)
 
 
 def extract_keys(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
-    params = layout.sparams.base
-    if M.shape != (params.d, params.alpha):
-        raise ValueError(f"matrix shape {M.shape} does not match layout")
-    cols = params.columns
-    return np.array(
-        [int(M.a[x - 1, cols.rank(I)]) for x, I in layout.key_cells], dtype=np.int64
-    )
+    return _gather(M, layout, layout.key_index)
 
 
 # -- key sampling ---------------------------------------------------------------

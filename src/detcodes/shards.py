@@ -20,18 +20,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import SystemParams, repair_encoder, vandermonde_encoder
+from .code import SystemParams, close_parity, recombine, repair_encoder, vandermonde_encoder
 from .gf import Field
 from .gfmatrix import GFMatrix
-from .secure import KeyStream, MessageLayout, Scheme, SecureParams, build_layout
+from .secure import KeyStream, MessageLayout, Scheme, SecureParams, build_layout, place
 
 MAGIC = b"DETC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4s12I")
 
 # Bound on the codec's tables: the d x C(d,m) message matrix and the n x d
-# encoder.  Message cells cost 15-25 us each to lay out (2 s at the bound);
-# a header claiming (n,d,m) = (45,40,20) would otherwise ask for 5.5e12.
+# encoder.  Its index tables cost about 3 us per message cell to build
+# (0.4 s at the bound on a 2-vCPU VM); a header claiming (n,d,m) = (45,40,20) would otherwise ask for 5.5e12.
 MAX_TABLE_CELLS = 1 << 17
 
 _SCHEME_TAG = {Scheme.PLAIN: 0, Scheme.TYPE_I: 1, Scheme.TYPE_II: 2}
@@ -106,7 +106,12 @@ class Shard:
     symbols: np.ndarray  # read-only uint16, stripe after stripe
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.symbols, dtype=np.uint16)
+        s = np.asarray(self.symbols)
+        if s.size and (s.min() < 0 or s.max() >= self.header.q):
+            raise ShardFormatError(
+                f"shard for node {self.header.node_id} holds symbols outside GF({self.header.q})"
+            )
+        s = s.astype(np.uint16, copy=False)
         s.setflags(write=False)
         object.__setattr__(self, "symbols", s)
         if len(s) != self.header.payload_symbols:
@@ -125,12 +130,7 @@ class Shard:
             raise ShardFormatError(
                 f"payload is {body} bytes, expected {2 * header.payload_symbols}"
             )
-        symbols = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size)
-        if (symbols >= header.q).any():
-            raise ShardFormatError(
-                f"shard for node {header.node_id} holds symbols outside GF({header.q})"
-            )
-        return cls(header, symbols)
+        return cls(header, np.frombuffer(raw, dtype="<u2", offset=_HEADER.size))
 
 
 def write_shard(path: str | Path, shard: Shard) -> None:
@@ -233,7 +233,9 @@ class StripedCodec:
     a file in one batch.  Batches are cell-major: a (d, stripes, alpha)
     array, handed around as its (stripes, d, alpha) transposed view, so
     that every product over GF(q) is one 2-D float64 GEMM (`_mat`)
-    and row i of a codeword batch is already shard i's payload.
+    and row i of a codeword batch is already shard i's payload.  Slots,
+    parity closure and repair recombination come from the code's own
+    tables (`place`, `close_parity`, `recombine`), as for one matrix.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -254,38 +256,6 @@ class StripedCodec:
             )
         self.layout: MessageLayout = build_layout(sparams)
         self.psi: GFMatrix = vandermonde_encoder(params)
-        col = {I: c for c, I in enumerate(params.columns.subsets())}
-        self._sr = np.array([x - 1 for x, _ in self.layout.secret_cells], dtype=np.intp)
-        self._sc = np.array([col[I] for _, I in self.layout.secret_cells], dtype=np.intp)
-        self._kr = np.array([x - 1 for x, _ in self.layout.key_cells], dtype=np.intp)
-        self._kc = np.array([col[I] for _, I in self.layout.key_cells], dtype=np.intp)
-        # Recovery computes only the rows of M that hold secrets.
-        self._secret_rows, self._sr_local = np.unique(self._sr, return_inverse=True)
-        groups = list(params.parity_groups.subsets())
-        m = params.m
-        self._ptx = np.array([J[-1] - 1 for J in groups], dtype=np.intp)
-        self._ptc = np.array([col[J[:-1]] for J in groups], dtype=np.intp)
-        sign = np.zeros((len(groups), m), dtype=np.int64)
-        py = np.zeros((len(groups), m), dtype=np.intp)
-        pc = np.zeros((len(groups), m), dtype=np.intp)
-        for g, J in enumerate(groups):
-            for k, y in enumerate(J[:-1]):  # ind(J[:-1], y) = k + 1
-                sign[g, k] = (-1) ** (m + k + 1)
-                py[g, k] = y - 1
-                pc[g, k] = col[J[:k] + J[k + 1 :]]
-        self._psign, self._ppy, self._ppc = sign, py, pc
-        # Repair recombination: share symbol I is the signed sum over x in I
-        # of row x, column I \ {x} of M @ Xi^f.
-        rcol = {J: c for c, J in enumerate(params.repair_columns.subsets())}
-        rx = np.zeros((params.alpha, m), dtype=np.intp)
-        rc = np.zeros((params.alpha, m), dtype=np.intp)
-        rs = np.zeros((params.alpha, m), dtype=np.int64)
-        for i, I in enumerate(col):
-            for k, x in enumerate(I):  # ind(I, x) = k + 1
-                rx[i, k] = x - 1
-                rc[i, k] = rcol[I[:k] + I[k + 1 :]]
-                rs[i, k] = (-1) ** (k + 1)
-        self._rx, self._rc, self._rs = rx, rc, rs
 
     # -- stripe planning ---------------------------------------------------
 
@@ -317,12 +287,7 @@ class StripedCodec:
         b = secrets.shape[0]
         params = self.params
         mb = np.zeros((params.d, b, params.alpha), dtype=np.uint16).transpose(1, 0, 2)
-        mb[:, self._sr, self._sc] = secrets % self.q
-        mb[:, self._kr, self._kc] = keys % self.q
-        if len(self._ptx):
-            contrib = (mb[:, self._ppy, self._ppc] * self._psign).sum(axis=2)
-            mb[:, self._ptx, self._ptc] = contrib % self.q
-        return mb
+        return close_parity(place(mb, self.layout, secrets, keys), params)
 
     def encode_batch(self, mb: np.ndarray) -> np.ndarray:
         """Codewords Psi @ M of shape (stripes, n, alpha), uint16."""
@@ -335,9 +300,12 @@ class StripedCodec:
         """Secrets of every stripe from the codeword rows of d nodes."""
         b, d, alpha = cb.shape
         psi_inv = self.psi.submatrix([i - 1 for i in node_ids], range(d)).inv()
-        rows = _mat(psi_inv.a[self._secret_rows], cb.transpose(1, 0, 2).reshape(d, -1))
+        # Only the rows of M that hold secrets are computed.
+        secret_rows, secret_cols = self.layout.secret_index
+        needed, local = np.unique(secret_rows, return_inverse=True)
+        rows = _mat(psi_inv.a[needed], cb.transpose(1, 0, 2).reshape(d, -1))
         cells = rows.reshape(len(rows), b, alpha).transpose(1, 0, 2)
-        return _mod(cells[:, self._sr_local, self._sc], self.q)
+        return _mod(cells[:, local, secret_cols], self.q)
 
     # -- file pipeline -------------------------------------------------------
 
@@ -416,10 +384,10 @@ class StripedCodec:
         payloads = _mod(_mat(shares.reshape(-1, params.alpha), xi.a), self.q)
         psi_h_inv = self.psi.submatrix([i - 1 for i in ids], range(params.d)).inv()
         # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
-        # signed sums below cannot overflow int64.
+        # signed sums of `recombine` cannot overflow int64.
         mxi = _mat(psi_h_inv.a, payloads.reshape(params.d, -1)).astype(np.int64)
         mxi = mxi.reshape(params.d, stripes, xi.cols).transpose(1, 0, 2)
-        vals = (mxi[:, self._rx, self._rc] * self._rs).sum(axis=2) % self.q
+        vals = recombine(mxi, params)
         header = replace(helpers[0].header, node_id=failed)
         bandwidth = stripes * params.d * params.beta
         return Shard(header, vals.reshape(-1)), bandwidth

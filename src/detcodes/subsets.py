@@ -41,17 +41,6 @@ def ind(I: Iterable[int], x: int) -> int:
     return sum(1 for y in I if y <= x)
 
 
-def lex_less(I: Subset, J: Subset) -> bool:
-    """Set order on equal-size subsets: min(I \\ J) < min(J \\ I)."""
-    if len(I) != len(J):
-        raise ValueError(f"subsets must have equal size, got {len(I)} and {len(J)}")
-    only_i = set(I) - set(J)
-    if not only_i:
-        return False
-    only_j = set(J) - set(I)
-    return min(only_i) < min(only_j)
-
-
 @dataclass(frozen=True)
 class LexIndexer:
     """Bijection between m-subsets of [d] and column indices [0, C(d, m))."""

@@ -57,12 +57,6 @@ def point(d: int, ell: int, m: int, scheme: Scheme) -> TradeoffPoint:
     )
 
 
-def converse_value(d: int, ell: int, m: int, scheme: Scheme) -> int:
-    """Upper bound on the secure file size of a mode-m determinant code;
-    the bound is tight, so it coincides with the achievable value."""
-    return secret_capacity(d, ell, m, scheme)
-
-
 def pareto_count(d: int, ell: int) -> int:
     """Number of Pareto points of the Type-II trade-off.
 

@@ -11,16 +11,13 @@ from detcodes.code import (
     cell_kind,
     check_leading_blocks,
     check_mds,
-    compress_packet,
+    close_parity,
     encode,
-    expand_packet,
     info_cells,
     info_symbols,
     multi_repair_rank,
     packet_support_basis,
     parity_holds,
-    parity_residual,
-    parity_value,
     recover_message,
     repair_encoder,
     repair_node,
@@ -29,7 +26,7 @@ from detcodes.code import (
     vandermonde_encoder,
 )
 from detcodes.gfmatrix import GFMatrix
-from detcodes.subsets import binom
+from detcodes.subsets import binom, ind
 
 
 def random_message(params, seed=0):
@@ -94,8 +91,18 @@ def test_parity_closure_exhaustive():
             ps = system(d + 2, d, m)
             M = random_message(ps, seed=d * 10 + m)
             assert parity_holds(M, ps)
+            # each group's alternating-sign residual, summed here cell by cell
+            cols = ps.columns
             for J in ps.parity_groups.subsets():
-                assert parity_residual(M, J, ps) == 0
+                residual = sum(
+                    (-1) ** ind(J, y) * int(M.a[y - 1, cols.rank(tuple(v for v in J if v != y))])
+                    for y in J
+                )
+                assert residual % ps.q == 0
+            if m < d:  # changing P cell (m + 1, [1:m]) breaks its group
+                bad = M.a.copy()
+                bad[m, 0] = (bad[m, 0] + 1) % ps.q
+                assert not parity_holds(GFMatrix(ps.q, bad), ps)
 
 
 def test_parity_value_structural_examples():
@@ -103,21 +110,24 @@ def test_parity_value_structural_examples():
     ps = system(8, 6, 2)
     M = random_message(ps, seed=3)
     cols = ps.columns
-    got = parity_value(M, 4, (1, 3), ps)
+    got = int(M.a[3, cols.rank((1, 3))])
     expect = (-int(M.a[0, cols.rank((3, 4))]) + int(M.a[2, cols.rank((1, 4))])) % ps.q
     assert got == expect
     # m=1 group {1,2}: M(2,{1}) = M(1,{2})
     ps1 = system(6, 4, 1)
     M1 = random_message(ps1, seed=4)
-    assert parity_value(M1, 2, (1,), ps1) == int(M1.a[0, ps1.columns.rank((2,))])
+    assert M1.a[1, ps1.columns.rank((1,))] == M1.a[0, ps1.columns.rank((2,))]
 
 
 def test_parity_zero_group():
+    # group {1,2,5} has only zero partners; group {1,3,4} has one nonzero
     ps = system(8, 6, 2)
     arr = np.zeros((6, 15), dtype=np.int64)
-    assert parity_value(arr, 5, (1, 2), ps) == 0
-    with pytest.raises(ValueError):
-        parity_value(arr, 2, (1, 3), ps)  # not above max
+    arr[0, ps.columns.rank((3, 4))] = 5
+    close_parity(arr, ps)
+    assert arr[4, ps.columns.rank((1, 2))] == 0
+    assert arr[3, ps.columns.rank((1, 3))] == -5 % ps.q
+    assert np.count_nonzero(arr) == 2
 
 
 def test_fill_order_and_info_symbol_roundtrip():
@@ -302,11 +312,12 @@ def test_packet_compression_roundtrip():
             assert len(basis) == ps.beta
             # basis coordinates really are payload positions
             assert all(0 <= b < binom(6, m - 1) for b in basis)
+            # the basis coordinates of a payload determine all of it
+            sub = xi.submatrix(range(xi.rows), basis)
+            coeffs, _ = sub.solve(xi)  # sub @ coeffs == xi
             for s in shares:
                 if s.node_id == f:
                     continue
                 p = repair_packet(s, f, psi, ps, xi)
-                short = compress_packet(p, basis)
-                assert len(short) == ps.beta
-                back = expand_packet(short, s.node_id, f, xi, basis)
-                assert np.array_equal(back.values, p.values)
+                back = p.values[list(basis)] @ coeffs.a % ps.q
+                assert np.array_equal(back, p.values)

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import time
@@ -294,22 +295,31 @@ def test_float_products_exact_at_worst_case(n, d, m, scheme, ell):
 
 
 def _ranked_tables(params, layout):
-    """The codec's column tables, built with LexIndexer.rank per subset."""
+    """The code's index tables, built with LexIndexer.rank per subset."""
     cols, rcols, m = params.columns, params.repair_columns, params.m
     groups = list(params.parity_groups.subsets())
-    return {
-        "_sc": [cols.rank(I) for _, I in layout.secret_cells],
-        "_kc": [cols.rank(I) for _, I in layout.key_cells],
-        "_ptc": [cols.rank(J[:-1]) for J in groups],
-        "_psign": [[(-1) ** (m + ind(J[:-1], y)) for y in J[:-1]] for J in groups],
-        "_ppc": [
-            [cols.rank(tuple(v for v in J if v != y)) for y in J[:-1]] for J in groups
-        ],
-        "_rc": [
-            [rcols.rank(tuple(v for v in I if v != x)) for x in I] for I in cols.subsets()
-        ],
-        "_rs": [[(-1) ** ind(I, x) for x in I] for I in cols.subsets()],
+    (parity_rows, parity_cols), partners = params.parity_table
+    repair = params.repair_table
+    tables = {
+        "secret cols": (layout.secret_index[1], [cols.rank(I) for _, I in layout.secret_cells]),
+        "key cols": (layout.key_index[1], [cols.rank(I) for _, I in layout.key_cells]),
+        "parity rows": (parity_rows, [J[-1] - 1 for J in groups]),
+        "parity cols": (parity_cols, [cols.rank(J[:-1]) for J in groups]),
+        "parity signs": (
+            partners.signs,
+            [[(-1) ** (m + ind(J[:-1], y)) for y in J[:-1]] for J in groups],
+        ),
+        "partner cols": (
+            partners.cols,
+            [[cols.rank(tuple(v for v in J if v != y)) for y in J[:-1]] for J in groups],
+        ),
+        "repair cols": (
+            repair.cols,
+            [[rcols.rank(tuple(v for v in I if v != x)) for x in I] for I in cols.subsets()],
+        ),
+        "repair signs": (repair.signs, [[(-1) ** ind(I, x) for x in I] for I in cols.subsets()]),
     }
+    return {name: (table, np.reshape(expected, table.shape)) for name, (table, expected) in tables.items()}
 
 
 def _ranked_repair_encoder(f, psi, params):
@@ -330,9 +340,8 @@ def _ranked_repair_encoder(f, psi, params):
 )
 def test_codec_tables_match_lex_ranks(n, d, m, scheme, ell):
     codec = StripedCodec(SecureParams(system(n, d, m, 65521), ell, scheme))
-    for name, expected in _ranked_tables(codec.params, codec.layout).items():
-        table = getattr(codec, name)
-        assert np.array_equal(table, np.reshape(expected, table.shape)), name
+    for name, (table, expected) in _ranked_tables(codec.params, codec.layout).items():
+        assert np.array_equal(table, expected), name
     for f in range(1, n + 1):
         xi = repair_encoder(f, codec.psi, codec.params)
         assert np.array_equal(xi.a, _ranked_repair_encoder(f, codec.psi, codec.params))
@@ -372,11 +381,72 @@ def test_out_of_field_symbol_rejected_on_read():
     assert Shard.from_bytes(bytes(raw)).symbols[0] == 10
 
 
+@pytest.mark.parametrize("value", [11, 60000, 70000, -1], ids=["q", "below-2^16", "2^16+", "negative"])
+def test_shard_rejects_out_of_field_symbols(value):
+    header = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 1, 2, True, 0, 0)
+    with pytest.raises(ShardFormatError, match="outside GF"):
+        Shard(header, np.array([value, 10]))
+    assert Shard(header, np.array([10, 0])).symbols.tolist() == [10, 0]
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+# SHA-256 of every shard of `encode --seed 2718` on a 1000-byte input,
+# recorded from an earlier build.  Shard bytes change only on purpose, and
+# these digests change with them.
+PINNED_ENCODES = {
+    "plain-6-4-2-q65521": (
+        ["--scheme", "plain", "--n", 6, "--d", 4, "--m", 2, "--q", 65521],
+        [
+            "6af14e4ef5a0580bc9417612b9f67436155eb59df3e2c4f2d9c670bcad08d7c2",
+            "c04ad4b37e14f1107be4a38d4e703cf0bbfca837bf1c023d4517d997579b32ee",
+            "514f08d26009bac660e33ef13713c019cd266224efbc34f7f96d8f2a37eab7c7",
+            "fafe148f6cd6e89486b882b6bcd161bdb01bf72a435e27dc071cbe532c421caf",
+            "376541f15ab2207ac3a07887538cc658a676588be72044fba795e3e343a014f4",
+            "762535017b41d0afa9d2ef7fa2cb476d60ec47cebc7f29604997c9f5091c8a3c",
+        ],
+    ),
+    "type1-7-5-2-ell2-q11": (
+        ["--scheme", "type1", "--ell", 2, "--n", 7, "--d", 5, "--m", 2, "--q", 11],
+        [
+            "e3880110420ce74b763a105fb9a697ac59e6e8a2e896cb7f3d23ecc17e7f2dce",
+            "2eddceddd3bc03cc6774aa23e44c59d1942a759e4526a7bd9d0ae256be3007b7",
+            "5539babbda6fd93ae0d3639283f936b4914d95eedaaeadf61329281b17c9ec51",
+            "cc9f14ed561d97f5a58aaf38e60b4c377f53047a39f97031f75fb2cf3fb5946b",
+            "8b7eab34831714a51dd2720a90eaad9159079a46c689cd18aaf047704efd0c97",
+            "7abf40c537e6fd7e5bb82d2511595ed32d748939ab37b0f46b0312a2caa18ae7",
+            "a4290af8725569de2ed8a53d1ab73a9be56a46cd62d7429b66814e17d3129bea",
+        ],
+    ),
+    "type2-8-6-2-ell2-q11": (
+        ["--scheme", "type2", "--ell", 2, "--n", 8, "--d", 6, "--m", 2, "--q", 11],
+        [
+            "ba3cc684618e4862c217b260ae23b09a42d991b1fb0a9ba6da16d8162f1c1e82",
+            "1fdcc5ff98cd34142cd1d6511c8293f4aed199704903ac4d270297ac27dd6b19",
+            "a5556e7fc1d2a7d0f4256ed1482d6a7087cbbd617b37ef9d61ef0e8998586b3c",
+            "699a67dfc9c6633cce822ea1c9ef461b0638b01cd5ccafa106201472b9df62da",
+            "b3ad7f83cdb5ebf4f08dca5c5256220828f5e94fb676c46b6ce01949057b896f",
+            "6892f55d7fe5f3848fe167b0cfe7b387a1d71d1e473f409d100535ae97d6fa5a",
+            "ddc3e60d437ba4d5bd288e17cb70f7b5499d4486d025ce8f104baaf8e60b22d9",
+            "c620942eeaae0eac4a362d2e797cf62916576fed68465863c5730dc7c0a0eaa8",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_ENCODES))
+def test_fixed_seed_encode_output_is_pinned(tmp_path, name):
+    flags, digests = PINNED_ENCODES[name]
+    source = tmp_path / "input.bin"
+    source.write_bytes(bytes((7 * i + 3) % 256 for i in range(1000)))
+    assert run_cli("encode", source, "--out", tmp_path / "shards", *flags, "--seed", 2718) == 0
+    shards = sorted((tmp_path / "shards").glob("shard_*.detc"))
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
 
 
 def test_cli_encode_recover_repair(tmp_path):

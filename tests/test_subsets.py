@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from detcodes.subsets import LexIndexer, binom, ind, lex_less
+from detcodes.subsets import LexIndexer, binom, ind
 
 
 def test_binom_examples():
@@ -18,24 +18,6 @@ def test_ind_examples():
     assert ind((1, 3, 4), 1) == 1
     assert ind((3, 4), 6) == 2
     assert ind((2, 5), 1) == 0
-
-
-def test_lex_less_examples():
-    assert lex_less((1, 2, 5), (1, 3, 4))
-    assert not lex_less((2, 3), (2, 3))
-    assert not lex_less((3, 4), (1, 6))
-
-
-def test_lex_less_size_mismatch():
-    with pytest.raises(ValueError):
-        lex_less((1, 2), (1, 2, 3))
-
-
-def test_lex_less_matches_bruteforce_definition():
-    for I in combinations(range(1, 7), 2):
-        for J in combinations(range(1, 7), 2):
-            expected = I != J and min(set(I) - set(J)) < min(set(J) - set(I))
-            assert lex_less(I, J) == expected
 
 
 def test_rank_examples_d6_m2():
@@ -55,9 +37,11 @@ def test_rank_unrank_roundtrip_and_order_exhaustive():
             for i, I in enumerate(subsets):
                 assert idx.rank(I) == i
                 assert idx.unrank(i) == I
-            for i in range(len(subsets)):
-                for j in range(len(subsets)):
-                    assert (i < j) == lex_less(subsets[i], subsets[j])
+            # rank order is the set order: I < J iff min(I - J) < min(J - I)
+            for i, I in enumerate(subsets):
+                for j, J in enumerate(subsets):
+                    set_less = I != J and min(set(I) - set(J)) < min(set(J) - set(I))
+                    assert (i < j) == set_less
 
 
 def test_ind_bounds_property():

@@ -6,7 +6,6 @@ from detcodes.secure import Scheme, secret_capacity
 from detcodes.subsets import binom
 from detcodes.tradeoff import (
     TRADEOFF_CSV_HEADER,
-    converse_value,
     cutset_bound,
     emit_tradeoff_csv,
     external_bound_check,
@@ -31,16 +30,6 @@ def test_point_zero_capacity_has_no_normalized_pair():
     p = point(6, 5, 4, Scheme.TYPE_II)
     assert p.fs == 0 and p.alpha_norm is None and p.beta_norm is None
     assert not p.pareto
-
-
-def test_converse_matches_achievable():
-    for d in range(1, 12):
-        for ell in range(0, d):
-            for m in range(1, d + 1):
-                for scheme in (Scheme.TYPE_I, Scheme.TYPE_II):
-                    assert converse_value(d, ell, m, scheme) == secret_capacity(
-                        d, ell, m, scheme
-                    )
 
 
 def test_pareto_count_examples():
