@@ -244,10 +244,15 @@ class KeyStream:
             # hashlib cannot resume a squeeze, so squeeze the prefix again.
             raw = self._xof.digest(2 * (start + size))[2 * start :]
             words = np.frombuffer(raw, dtype="<u2")
-            accepted = np.flatnonzero(words < self._limit)[:need]
-            out[filled : filled + len(accepted)] = words[accepted] % self.q
-            filled += len(accepted)
-            self._words_used += size if filled < count else int(accepted[-1]) + 1
+            # Rejections are rare (9 in 2^16 at q = 11), so locate only them:
+            # rejected word j follows rejected[j] - j accepted words.
+            rejected = np.flatnonzero(words >= self._limit)
+            skipped = np.searchsorted(rejected - np.arange(len(rejected)), need)
+            end = min(need + int(skipped), len(words))
+            taken = np.delete(words[:end], rejected[:skipped])
+            np.remainder(taken, self.q, out=out[filled : filled + len(taken)])
+            filled += len(taken)
+            self._words_used += size if filled < count else end
         return out
 
 

@@ -34,6 +34,11 @@ _HEADER = struct.Struct("<4s12I")
 # (0.4 s at the bound on a 2-vCPU VM); a header claiming (n,d,m) = (45,40,20) would otherwise ask for 5.5e12.
 MAX_TABLE_CELLS = 1 << 17
 
+# Stripes are processed in blocks whose widest float64 operand holds about
+# this many cells (512 KiB), so that a block's temporaries stay in cache;
+# at d = 6 every product has inner dimension 6 and is bound by memory traffic.
+BLOCK_CELLS = 1 << 16
+
 _SCHEME_TAG = {Scheme.PLAIN: 0, Scheme.TYPE_I: 1, Scheme.TYPE_II: 2}
 _TAG_SCHEME = {v: k for k, v in _SCHEME_TAG.items()}
 
@@ -107,6 +112,10 @@ class Shard:
 
     def __post_init__(self) -> None:
         s = np.asarray(self.symbols)
+        if s.size and s.dtype.kind not in "iu":
+            raise ShardFormatError(
+                f"shard for node {self.header.node_id} holds {s.dtype} symbols, not integers"
+            )
         if s.size and (s.min() < 0 or s.max() >= self.header.q):
             raise ShardFormatError(
                 f"shard for node {self.header.node_id} holds symbols outside GF({self.header.q})"
@@ -229,13 +238,16 @@ def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int) -> bytes:
 class StripedCodec:
     """Vectorized per-stripe assemble/encode/recover/repair engine.
 
-    Stripes are independent, so every operation processes all stripes of
-    a file in one batch.  Batches are cell-major: a (d, stripes, alpha)
-    array, handed around as its (stripes, d, alpha) transposed view, so
-    that every product over GF(q) is one 2-D float64 GEMM (`_mat`)
-    and row i of a codeword batch is already shard i's payload.  Slots,
-    parity closure and repair recombination come from the code's own
-    tables (`place`, `close_parity`, `recombine`), as for one matrix.
+    Stripes are independent, so the file operations walk a file in blocks
+    of `block_stripes` stripes, each block one batch, and write every
+    block's result into one preallocated output; work that depends only on
+    the code or the node set is done once per file.  Batches are
+    cell-major: a (d, stripes, alpha) array, handed around as its
+    (stripes, d, alpha) transposed view, so that every product over GF(q)
+    is one 2-D float64 GEMM (`_mat`) and row i of a codeword batch is
+    already shard i's payload.  Slots, parity closure and repair
+    recombination come from the code's own tables (`place`,
+    `close_parity`, `recombine`), as for one matrix.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -256,6 +268,11 @@ class StripedCodec:
             )
         self.layout: MessageLayout = build_layout(sparams)
         self.psi: GFMatrix = vandermonde_encoder(params)
+        self._psi64 = self.psi.a.astype(np.float64)
+        # A block's widest float64 operand is its n x (stripes * alpha)
+        # codeword product or its d x (stripes * C(d,m-1)) repair product.
+        widest = max(params.n * params.alpha, params.d * len(params.repair_columns))
+        self.block_stripes = max(1, BLOCK_CELLS // widest)
 
     # -- stripe planning ---------------------------------------------------
 
@@ -273,12 +290,17 @@ class StripedCodec:
             return 1
         return max(1, -(-packed_symbols // per))
 
-    def _stack_payloads(self, shards: Sequence[Shard]) -> tuple[int, np.ndarray]:
-        """Stripe count and the (shards, stripes * alpha) payload stack."""
+    def _stripe_views(self, shards: Sequence[Shard]) -> list[np.ndarray]:
+        """Each shard's payload as a (stripes, alpha) view."""
         stripes, rem = divmod(shards[0].header.payload_symbols, self.params.alpha)
         if rem:
             raise ShardFormatError("payload length is not a whole number of stripes")
-        return stripes, np.stack([s.symbols for s in shards])
+        return [s.symbols.reshape(stripes, self.params.alpha) for s in shards]
+
+    def _blocks(self, stripes: int) -> list[slice]:
+        """The stripe ranges of consecutive blocks, the last one short."""
+        step = self.block_stripes
+        return [slice(lo, lo + step) for lo in range(0, stripes, step)]
 
     # -- batched message algebra -------------------------------------------
 
@@ -293,19 +315,25 @@ class StripedCodec:
         """Codewords Psi @ M of shape (stripes, n, alpha), uint16."""
         b, d, alpha = mb.shape
         cells = mb.transpose(1, 0, 2).reshape(d, b * alpha)
-        cb = _mod(_mat(self.psi.a, cells), self.q).astype(np.uint16)
+        cb = _mod(_mat(self._psi64, cells), self.q).astype(np.uint16)
         return cb.reshape(self.params.n, b, alpha).transpose(1, 0, 2)
 
     def recover_batch(self, node_ids: Sequence[int], cb: np.ndarray) -> np.ndarray:
-        """Secrets of every stripe from the codeword rows of d nodes."""
+        """Secrets of every stripe, (stripes, F_s) uint16, from the codeword
+        rows of d nodes, block by block."""
         b, d, alpha = cb.shape
         psi_inv = self.psi.submatrix([i - 1 for i in node_ids], range(d)).inv()
         # Only the rows of M that hold secrets are computed.
         secret_rows, secret_cols = self.layout.secret_index
         needed, local = np.unique(secret_rows, return_inverse=True)
-        rows = _mat(psi_inv.a[needed], cb.transpose(1, 0, 2).reshape(d, -1))
-        cells = rows.reshape(len(rows), b, alpha).transpose(1, 0, 2)
-        return _mod(cells[:, local, secret_cols], self.q)
+        decoder = psi_inv.a[needed].astype(np.float64)
+        out = np.empty((b, self.symbols_per_stripe), dtype=np.uint16)
+        for s in self._blocks(b):
+            block = cb[s]
+            rows = _mat(decoder, block.transpose(1, 0, 2).reshape(d, -1))
+            cells = rows.reshape(len(needed), len(block), alpha).transpose(1, 0, 2)
+            out[s] = _mod(cells[:, local, secret_cols], self.q)
+        return out
 
     # -- file pipeline -------------------------------------------------------
 
@@ -315,8 +343,8 @@ class StripedCodec:
         stripes = self.stripe_count_for(len(syms))
         per = self.symbols_per_stripe
         padding = stripes * per - len(syms)
-        secrets = np.zeros(stripes * per, dtype=np.uint16)
-        secrets[: len(syms)] = syms
+        secrets = np.zeros((stripes, per), dtype=np.uint16)
+        secrets.reshape(-1)[: len(syms)] = syms
         nk = self.layout.key_count
         stream = KeyStream(seed, self.q)  # checks the seed for every layout
         keys = (
@@ -324,7 +352,11 @@ class StripedCodec:
             if nk
             else np.zeros((stripes, 0), dtype=np.int64)
         )
-        cb = self.encode_batch(self.assemble_batch(secrets.reshape(stripes, per), keys))
+        # Row i of cb is shard i + 1's payload.
+        cb = np.empty((params.n, stripes, params.alpha), dtype=np.uint16)
+        for s in self._blocks(stripes):
+            mb = self.assemble_batch(secrets[s], keys[s])
+            cb[:, s] = self.encode_batch(mb).transpose(1, 0, 2)
         shards = []
         for node in range(1, params.n + 1):
             header = ShardHeader(
@@ -341,7 +373,7 @@ class StripedCodec:
                 len(data),
                 padding,
             )
-            shards.append(Shard(header, cb[:, node - 1, :].reshape(-1)))
+            shards.append(Shard(header, cb[node - 1].reshape(-1)))
         return shards
 
     def recover_file(self, shards: Sequence[Shard]) -> bytes:
@@ -357,8 +389,7 @@ class StripedCodec:
             )
         chosen = list(seen.values())[: params.d]
         head = chosen[0].header
-        stripes, stack = self._stack_payloads(chosen)
-        cb = stack.reshape(params.d, stripes, params.alpha).transpose(1, 0, 2)
+        cb = np.stack(self._stripe_views(chosen)).transpose(1, 0, 2)
         secrets = self.recover_batch([s.header.node_id for s in chosen], cb).reshape(-1)
         packed = len(secrets) - head.padding_symbols
         return unpack_bytes(secrets[:packed], self.q, head.original_length)
@@ -379,17 +410,22 @@ class StripedCodec:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
         helpers = sorted(helpers, key=lambda s: s.header.node_id)
         ids = sorted(ids)
-        stripes, shares = self._stack_payloads(helpers)
-        xi = repair_encoder(failed, self.psi, params)
-        payloads = _mod(_mat(shares.reshape(-1, params.alpha), xi.a), self.q)
-        psi_h_inv = self.psi.submatrix([i - 1 for i in ids], range(params.d)).inv()
-        # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
-        # signed sums of `recombine` cannot overflow int64.
-        mxi = _mat(psi_h_inv.a, payloads.reshape(params.d, -1)).astype(np.int64)
-        mxi = mxi.reshape(params.d, stripes, xi.cols).transpose(1, 0, 2)
-        vals = recombine(mxi, params)
+        d, alpha = params.d, params.alpha
+        views = self._stripe_views(helpers)
+        stripes = len(views[0])
+        xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
+        psi_h = self.psi.submatrix([i - 1 for i in ids], range(d))
+        psi_h_inv = psi_h.inv().a.astype(np.float64)
+        vals = np.empty((stripes, alpha), dtype=np.uint16)
+        for s in self._blocks(stripes):
+            shares = np.stack([v[s] for v in views]).reshape(-1, alpha)
+            payloads = _mod(_mat(shares, xi), self.q)
+            # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
+            # signed sums of `recombine` cannot overflow int64.
+            mxi = _mat(psi_h_inv, payloads.reshape(d, -1)).astype(np.int64)
+            vals[s] = recombine(mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2), params)
         header = replace(helpers[0].header, node_id=failed)
-        bandwidth = stripes * params.d * params.beta
+        bandwidth = stripes * d * params.beta
         return Shard(header, vals.reshape(-1)), bandwidth
 
 
