@@ -8,15 +8,15 @@ Exit status is 0 on success (and on audit PASS), nonzero otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from pathlib import Path
 
 from .gf import Field, smallest_prime_gt
 from .code import SystemParams
 from .secure import Scheme, SecureParams, secret_capacity, key_count
 from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_sweep
-from .shards import StripedCodec, codec_for_headers, read_shard, write_shard
+from .shards import ShardFile, StripedCodec, codec_for_headers
 from .tradeoff import (
     emit_tradeoff_csv,
     pareto_count,
@@ -56,40 +56,63 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, default=None, help="prime field modulus (> n)")
 
 
+def _reuse_freed_memory() -> None:
+    """Keep freed blocks in glibc's heap for reuse.
+
+    The streaming codec allocates and frees the same few hundred KiB of
+    temporaries for every block of stripes.  By default glibc maps buffers
+    of 128 KiB and more fresh from the kernel and unmaps them when freed,
+    and trims the heap top beyond 128 KiB, so every block faults its pages
+    in again: about 80,000 page faults and a third of the time of a 1 MiB
+    Type-II encode.  These are the thresholds glibc itself moves to once a
+    32 MiB buffer has been freed.  Other C libraries keep their defaults.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
+    _reuse_freed_memory()
     sparams = _secure_params(args)
     codec = StripedCodec(sparams)
-    data = Path(args.input).read_bytes()
     seed_present = args.seed is not None
     seed = args.seed if seed_present else int.from_bytes(os.urandom(32), "little")
-    shards = codec.encode_file(data, seed, seed_present)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for shard in shards:
-        write_shard(out / f"shard_{shard.header.node_id:03d}.detc", shard)
-    stripes = shards[0].header.payload_symbols // sparams.base.alpha
+    headers = codec.encode_to(args.input, args.out, seed, seed_present)
+    head = headers[0]
+    stripes = head.payload_symbols // sparams.base.alpha
+    stored = len(headers) * (len(head.to_bytes()) + 2 * head.payload_symbols)
+    expansion = f"{stored / head.original_length:.2f}x" if head.original_length else "-"
     print(
-        f"encoded {len(data)} bytes into {len(shards)} shards "
+        f"encoded {head.original_length} bytes into {len(headers)} shards "
         f"({stripes} stripes of {codec.symbols_per_stripe} data symbols, "
-        f"q={sparams.base.q}, scheme={sparams.scheme.value}, ell={sparams.ell})"
+        f"q={sparams.base.q}, scheme={sparams.scheme.value}, ell={sparams.ell}); "
+        f"stored {stored} bytes, storage expansion {expansion}"
     )
     return 0
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    shards = [read_shard(p) for p in args.shards]
-    codec = codec_for_headers(shards)
-    data = codec.recover_file(shards)
-    Path(args.out).write_bytes(data)
-    print(f"recovered {len(data)} bytes from {len(shards)} shards")
+    _reuse_freed_memory()
+    with contextlib.ExitStack() as stack:
+        shards = [stack.enter_context(ShardFile(p)) for p in args.shards]
+        codec = codec_for_headers(shards)
+        length = codec.recover_to(shards, args.out)
+    print(f"recovered {length} bytes from {len(shards)} shards")
     return 0
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    helpers = [read_shard(p) for p in args.shards]
-    codec = codec_for_headers(helpers)
-    shard, bandwidth = codec.repair_shard(args.failed, helpers)
-    write_shard(args.out, shard)
+    _reuse_freed_memory()
+    with contextlib.ExitStack() as stack:
+        helpers = [stack.enter_context(ShardFile(p)) for p in args.shards]
+        codec = codec_for_headers(helpers)
+        bandwidth = codec.repair_to(args.failed, helpers, args.out)
     params = codec.params
     print(
         f"repaired node {args.failed} from {len(helpers)} helpers; "

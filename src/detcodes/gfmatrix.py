@@ -173,21 +173,6 @@ class GFMatrix:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "GFMatrix") -> "GFMatrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return GFMatrix(self.q, self.a + other.a)
-
-    def __sub__(self, other: "GFMatrix") -> "GFMatrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return GFMatrix(self.q, self.a - other.a)
-
-    def __neg__(self) -> "GFMatrix":
-        return GFMatrix(self.q, -self.a)
-
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
         self._check_field(other)
         if self.cols != other.rows:

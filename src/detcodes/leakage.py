@@ -412,12 +412,6 @@ class XiAudit:
         """Global column of Xi^L holding column J of the j-th block."""
         return (j - 1) * len(self.params.repair_columns) + self.params.repair_columns.rank(J)
 
-    def hat_matrix(self) -> np.ndarray:
-        """The square submatrix on rows row_subsets and columns col_labels."""
-        rows = [self.params.columns.rank(I) for I in self.row_subsets]
-        cols = [self.column_index(j, J) for j, J in self.col_labels]
-        return self.xi.a[np.ix_(rows, cols)]
-
 
 def xi_top_fullrank(
     L: Iterable[int], psi: GFMatrix, params: SystemParams

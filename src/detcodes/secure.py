@@ -204,20 +204,25 @@ def extract_keys(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
 
 # -- key sampling ---------------------------------------------------------------
 
-_KS_TAG = b"detcodes-keystream-v2"
+_KS_TAG = b"detcodes-keystream-v3"
+# 16-bit words per segment of the key stream (128 KiB of SHAKE-256 output).
+SEGMENT_WORDS = 1 << 16
 
 
 class KeyStream:
-    """Deterministic uniform symbols from a seed, via one SHAKE-256 stream.
+    """Deterministic uniform symbols from a seed, via segmented SHAKE-256.
 
-    The XOF (FIPS 202) is keyed by a version tag, q and the seed as 32
-    little-endian bytes, and read as little-endian 16-bit words.  Words at
-    or above the largest multiple of q below 2^16 are rejected, the rest
-    are reduced mod q, so every symbol is uniform over [0, q).  The output
-    is stable across platforms and Python versions (unlike random.Random),
-    which keeps shard files byte-identical for a fixed seed.  Successive
-    ``draw`` calls continue the stream: ``draw(a)`` then ``draw(b)``
-    equals ``draw(a + b)``.
+    Segment j is SHAKE-256 (FIPS 202) of a version tag, q (2 bytes), the
+    seed (32 bytes) and j (8 bytes), all little-endian, read for
+    `SEGMENT_WORDS` little-endian 16-bit words; the stream is the segments
+    one after another.  Words at or above the largest multiple of q below
+    2^16 are rejected, the rest are reduced mod q, so every symbol is
+    uniform over [0, q).  The output is stable across platforms and Python
+    versions (unlike random.Random), which keeps shard files byte-identical
+    for a fixed seed.  Successive ``draw`` calls continue the stream:
+    ``draw(a)`` then ``draw(b)`` equals ``draw(a + b)``, and a draw squeezes
+    only the segments it reaches, so drawing a file's keys block by block
+    costs the same as drawing them at once.
     """
 
     def __init__(self, seed: int, q: int) -> None:
@@ -227,23 +232,23 @@ class KeyStream:
         if not 0 <= seed < 1 << 256:
             raise ValueError(f"seed {seed} out of range [0, 2^256)")
         self.q = q
-        self._xof = hashlib.shake_256(
-            _KS_TAG + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
-        )
-        self._words_used = 0
+        self._key = _KS_TAG + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
         self._limit = (1 << 16) - ((1 << 16) % q)
+        self._segment = 0  # index of the next segment to squeeze
+        self._words = np.empty(0, dtype="<u2")  # unread words of the current one
+
+    def _next_segment(self) -> None:
+        xof = hashlib.shake_256(self._key + self._segment.to_bytes(8, "little"))
+        self._words = np.frombuffer(xof.digest(2 * SEGMENT_WORDS), dtype="<u2")
+        self._segment += 1
 
     def draw(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int64)
+        out = np.empty(count, dtype=np.uint16)
         filled = 0
-        reject = ((1 << 16) % self.q) / (1 << 16)
         while filled < count:
-            need = count - filled
-            # Over-ask by twice the expected rejections; a short batch loops.
-            start, size = self._words_used, need + int(2 * need * reject) + 16
-            # hashlib cannot resume a squeeze, so squeeze the prefix again.
-            raw = self._xof.digest(2 * (start + size))[2 * start :]
-            words = np.frombuffer(raw, dtype="<u2")
+            if not len(self._words):
+                self._next_segment()
+            need, words = count - filled, self._words
             # Rejections are rare (9 in 2^16 at q = 11), so locate only them:
             # rejected word j follows rejected[j] - j accepted words.
             rejected = np.flatnonzero(words >= self._limit)
@@ -252,7 +257,7 @@ class KeyStream:
             taken = np.delete(words[:end], rejected[:skipped])
             np.remainder(taken, self.q, out=out[filled : filled + len(taken)])
             filled += len(taken)
-            self._words_used += size if filled < count else end
+            self._words = words[end:]
         return out
 
 

@@ -11,12 +11,16 @@ little-endian 2-byte symbols, each below q.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import math
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,14 +116,7 @@ class Shard:
 
     def __post_init__(self) -> None:
         s = np.asarray(self.symbols)
-        if s.size and s.dtype.kind not in "iu":
-            raise ShardFormatError(
-                f"shard for node {self.header.node_id} holds {s.dtype} symbols, not integers"
-            )
-        if s.size and (s.min() < 0 or s.max() >= self.header.q):
-            raise ShardFormatError(
-                f"shard for node {self.header.node_id} holds symbols outside GF({self.header.q})"
-            )
+        _check_symbols(s, self.header)
         s = s.astype(np.uint16, copy=False)
         s.setflags(write=False)
         object.__setattr__(self, "symbols", s)
@@ -134,26 +131,87 @@ class Shard:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Shard":
         header = ShardHeader.from_bytes(raw)
-        body = len(raw) - _HEADER.size
-        if body != 2 * header.payload_symbols:
-            raise ShardFormatError(
-                f"payload is {body} bytes, expected {2 * header.payload_symbols}"
-            )
+        _check_payload_size(header, len(raw) - _HEADER.size)
         return cls(header, np.frombuffer(raw, dtype="<u2", offset=_HEADER.size))
+
+    def read_payload(self, start: int, out: np.ndarray) -> None:
+        """Copy payload symbols start, start + 1, ... into all of ``out``."""
+        np.copyto(out, self.symbols[start : start + out.size].reshape(out.shape))
+
+
+class ShardFile:
+    """A shard file opened for block reads.
+
+    Opening reads and checks the header and checks the file size against
+    it, before any payload is read; `read_payload` checks each block's
+    symbols as it reads them, with the same rules as `Shard`.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self._fh = open(path, "rb")
+        try:
+            self.header = ShardHeader.from_bytes(self._fh.read(_HEADER.size))
+            _check_payload_size(self.header, os.fstat(self._fh.fileno()).st_size - _HEADER.size)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "ShardFile":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self._fh.close()
+
+    def read_payload(self, start: int, out: np.ndarray) -> None:
+        """Read payload symbols start, start + 1, ... into all of ``out``, a
+        C-contiguous little-endian uint16 array."""
+        self._fh.seek(_HEADER.size + 2 * start)
+        if self._fh.readinto(out) != out.nbytes:
+            raise ShardFormatError(f"shard for node {self.header.node_id} ended early")
+        _check_symbols(out, self.header)
+
+
+def _check_payload_size(header: ShardHeader, body: int) -> None:
+    if body != 2 * header.payload_symbols:
+        raise ShardFormatError(f"payload is {body} bytes, expected {2 * header.payload_symbols}")
+
+
+def _check_symbols(s: np.ndarray, header: ShardHeader) -> None:
+    """Reject payload symbols that are not integers in [0, q)."""
+    if not s.size:
+        return
+    if s.dtype.kind not in "iu":
+        raise ShardFormatError(f"shard for node {header.node_id} holds {s.dtype} symbols, not integers")
+    if (s.dtype.kind == "i" and s.min() < 0) or s.max() >= header.q:
+        raise ShardFormatError(f"shard for node {header.node_id} holds symbols outside GF({header.q})")
+
+
+@contextlib.contextmanager
+def _replacing(paths: Sequence[Path]) -> Iterator[list[io.BufferedWriter]]:
+    """Open a temp file beside each path for writing.  On success rename each
+    over its path; on any error delete them all, leaving every path as it was."""
+    tmps: list[str] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+                tmps.append(tmp)
+                files.append(stack.enter_context(os.fdopen(fd, "wb")))
+            yield files
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def write_shard(path: str | Path, shard: Shard) -> None:
     """Write atomically: temp file in the target directory, then rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(shard.to_bytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _replacing([Path(path)]) as (fh,):
+        fh.write(shard.to_bytes())
 
 
 def read_shard(path: str | Path) -> Shard:
@@ -238,13 +296,18 @@ def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int) -> bytes:
 class StripedCodec:
     """Vectorized per-stripe assemble/encode/recover/repair engine.
 
-    Stripes are independent, so the file operations walk a file in blocks
-    of `block_stripes` stripes, each block one batch, and write every
-    block's result into one preallocated output; work that depends only on
-    the code or the node set is done once per file.  Batches are
-    cell-major: a (d, stripes, alpha) array, handed around as its
-    (stripes, d, alpha) transposed view, so that every product over GF(q)
-    is one 2-D float64 GEMM (`_mat`) and row i of a codeword batch is
+    Stripes are independent, so each file operation is one loop over
+    blocks of `block_stripes` stripes, each block one batch: it reads the
+    block's input (file bytes or shard payloads), computes, and hands the
+    block's output on.  Work that depends only on the code or the node set
+    is done once per file, before the loop.  The same loop serves the
+    in-memory calls (`encode_file`, `recover_file`, `repair_shard`), which
+    collect the blocks into one output, and the streaming ones
+    (`encode_to`, `recover_to`, `repair_to`), which write each block to
+    its files as it comes, so their memory does not grow with the file.
+    Batches are cell-major: a (d, stripes, alpha) array, handed around as
+    its (stripes, d, alpha) transposed view, so that every product over
+    GF(q) is one 2-D float64 GEMM (`_mat`) and row i of a codeword batch is
     already shard i's payload.  Slots, parity closure and repair
     recombination come from the code's own tables (`place`,
     `close_parity`, `recombine`), as for one matrix.
@@ -269,10 +332,14 @@ class StripedCodec:
         self.layout: MessageLayout = build_layout(sparams)
         self.psi: GFMatrix = vandermonde_encoder(params)
         self._psi64 = self.psi.a.astype(np.float64)
+        self._decoders: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         # A block's widest float64 operand is its n x (stripes * alpha)
         # codeword product or its d x (stripes * C(d,m-1)) repair product.
+        # Blocks hold whole 8-symbol packing groups (w bytes each), so every
+        # block packs and unpacks on its own.
         widest = max(params.n * params.alpha, params.d * len(params.repair_columns))
-        self.block_stripes = max(1, BLOCK_CELLS // widest)
+        unit = 8 // math.gcd(self.symbols_per_stripe, 8)
+        self.block_stripes = max(unit, BLOCK_CELLS // widest // unit * unit)
 
     # -- stripe planning ---------------------------------------------------
 
@@ -290,17 +357,29 @@ class StripedCodec:
             return 1
         return max(1, -(-packed_symbols // per))
 
-    def _stripe_views(self, shards: Sequence[Shard]) -> list[np.ndarray]:
-        """Each shard's payload as a (stripes, alpha) view."""
-        stripes, rem = divmod(shards[0].header.payload_symbols, self.params.alpha)
+    def _stripes(self, header: ShardHeader) -> int:
+        stripes, rem = divmod(header.payload_symbols, self.params.alpha)
         if rem:
             raise ShardFormatError("payload length is not a whole number of stripes")
-        return [s.symbols.reshape(stripes, self.params.alpha) for s in shards]
+        return stripes
 
-    def _blocks(self, stripes: int) -> list[slice]:
+    def _blocks(self, stripes: int) -> Iterator[slice]:
         """The stripe ranges of consecutive blocks, the last one short."""
         step = self.block_stripes
-        return [slice(lo, lo + step) for lo in range(0, stripes, step)]
+        return (slice(lo, min(lo + step, stripes)) for lo in range(0, stripes, step))
+
+    def _payload_blocks(
+        self, shards: Sequence[Shard | ShardFile], stripes: int
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each block's payload rows of ``shards``, (len(shards), b, alpha);
+        the array is reused for the next block."""
+        alpha = self.params.alpha
+        buf = np.empty((len(shards), min(self.block_stripes, stripes), alpha), dtype="<u2")
+        for s in self._blocks(stripes):
+            block = buf[:, : s.stop - s.start]
+            for shard, rows in zip(shards, block):
+                shard.read_payload(s.start * alpha, rows)
+            yield s, block
 
     # -- batched message algebra -------------------------------------------
 
@@ -320,49 +399,39 @@ class StripedCodec:
 
     def recover_batch(self, node_ids: Sequence[int], cb: np.ndarray) -> np.ndarray:
         """Secrets of every stripe, (stripes, F_s) uint16, from the codeword
-        rows of d nodes, block by block."""
+        rows of d nodes."""
         b, d, alpha = cb.shape
-        psi_inv = self.psi.submatrix([i - 1 for i in node_ids], range(d)).inv()
-        # Only the rows of M that hold secrets are computed.
-        secret_rows, secret_cols = self.layout.secret_index
-        needed, local = np.unique(secret_rows, return_inverse=True)
-        decoder = psi_inv.a[needed].astype(np.float64)
-        out = np.empty((b, self.symbols_per_stripe), dtype=np.uint16)
-        for s in self._blocks(b):
-            block = cb[s]
-            rows = _mat(decoder, block.transpose(1, 0, 2).reshape(d, -1))
-            cells = rows.reshape(len(needed), len(block), alpha).transpose(1, 0, 2)
-            out[s] = _mod(cells[:, local, secret_cols], self.q)
-        return out
+        key = tuple(node_ids)
+        if key not in self._decoders:
+            # Psi_K^-1 once per node set; only the rows of M that hold
+            # secrets are computed.
+            psi_inv = self.psi.submatrix([i - 1 for i in key], range(d)).inv()
+            needed, local = np.unique(self.layout.secret_index[0], return_inverse=True)
+            self._decoders[key] = (psi_inv.a[needed].astype(np.float64), local)
+        decoder, local = self._decoders[key]
+        rows = _mat(decoder, cb.transpose(1, 0, 2).reshape(d, -1))
+        cells = rows.reshape(len(decoder), b, alpha).transpose(1, 0, 2)
+        return _mod(cells[:, local, self.layout.secret_index[1]], self.q).astype(np.uint16)
 
-    # -- file pipeline -------------------------------------------------------
+    # -- the block loops ---------------------------------------------------
 
-    def encode_file(self, data: bytes, seed: int, seed_present: bool) -> list[Shard]:
-        params = self.params
-        syms = pack_bytes(data, self.q)
-        stripes = self.stripe_count_for(len(syms))
-        per = self.symbols_per_stripe
-        padding = stripes * per - len(syms)
-        secrets = np.zeros((stripes, per), dtype=np.uint16)
-        secrets.reshape(-1)[: len(syms)] = syms
-        nk = self.layout.key_count
-        stream = KeyStream(seed, self.q)  # checks the seed for every layout
-        keys = (
-            stream.draw(stripes * nk).reshape(stripes, nk)
-            if nk
-            else np.zeros((stripes, 0), dtype=np.int64)
-        )
-        # Row i of cb is shard i + 1's payload.
-        cb = np.empty((params.n, stripes, params.alpha), dtype=np.uint16)
-        for s in self._blocks(stripes):
-            mb = self.assemble_batch(secrets[s], keys[s])
-            cb[:, s] = self.encode_batch(mb).transpose(1, 0, 2)
-        shards = []
-        for node in range(1, params.n + 1):
-            header = ShardHeader(
+    def _encode(
+        self, readinto: Callable[[memoryview], int], length: int, seed: int, seed_present: bool
+    ) -> tuple[list[ShardHeader], Iterator[tuple[slice, np.ndarray]]]:
+        """The n shard headers of a ``length``-byte input, and its codewords
+        block by block, (n, b, alpha) each; ``readinto`` reads the input."""
+        params, q = self.params, self.q
+        per, nk, w = self.symbols_per_stripe, self.layout.key_count, symbol_width(q)
+        packed = -(-8 * length // w)
+        stripes = self.stripe_count_for(packed)
+        if max(length, stripes * params.alpha) >= 1 << 32:
+            raise ValueError(f"a {length}-byte input does not fit the shard format")
+        stream = KeyStream(seed, q)  # checks the seed for every layout
+        headers = [
+            ShardHeader(
                 FORMAT_VERSION,
                 self.sparams.scheme,
-                self.q,
+                q,
                 params.n,
                 params.d,
                 params.m,
@@ -370,15 +439,37 @@ class StripedCodec:
                 node,
                 stripes * params.alpha,
                 seed_present,
-                len(data),
-                padding,
+                length,
+                stripes * per - packed,
             )
-            shards.append(Shard(header, cb[node - 1].reshape(-1)))
-        return shards
+            for node in range(1, params.n + 1)
+        ]
 
-    def recover_file(self, shards: Sequence[Shard]) -> bytes:
-        params = self.params
-        seen: dict[int, Shard] = {}
+        def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+            buf = bytearray(self.block_stripes * per * w // 8)
+            done = 0
+            for s in self._blocks(stripes):
+                b = s.stop - s.start
+                view = memoryview(buf)[: min(b * per * w // 8, length - done)]
+                got = readinto(view)
+                if got != len(view):
+                    raise ValueError(f"input ended after {done + got} of {length} bytes")
+                done += got
+                secrets = np.zeros((b, per), dtype=np.uint16)
+                syms = pack_bytes(view, q)
+                secrets.reshape(-1)[: len(syms)] = syms
+                keys = stream.draw(b * nk).reshape(b, nk) if nk else np.zeros((b, 0), np.uint16)
+                yield s, self.encode_batch(self.assemble_batch(secrets, keys)).transpose(1, 0, 2)
+            if readinto(memoryview(bytearray(1))):
+                raise ValueError(f"input is longer than {length} bytes")
+
+        return headers, blocks()
+
+    def _recover(self, shards: Sequence[Shard | ShardFile]) -> tuple[int, Iterator[bytes]]:
+        """The file length, and its bytes block by block, from the first d
+        distinct nodes of ``shards``."""
+        params, q = self.params, self.q
+        seen: dict[int, Shard | ShardFile] = {}
         for s in shards:
             if s.header.node_id in seen:
                 raise ShardFormatError(f"duplicate shard for node {s.header.node_id}")
@@ -389,17 +480,29 @@ class StripedCodec:
             )
         chosen = list(seen.values())[: params.d]
         head = chosen[0].header
-        cb = np.stack(self._stripe_views(chosen)).transpose(1, 0, 2)
-        secrets = self.recover_batch([s.header.node_id for s in chosen], cb).reshape(-1)
-        packed = len(secrets) - head.padding_symbols
-        return unpack_bytes(secrets[:packed], self.q, head.original_length)
+        stripes = self._stripes(head)
+        w = symbol_width(q)
+        packed = stripes * self.symbols_per_stripe - head.padding_symbols
+        if packed * w < 8 * head.original_length:
+            raise ShardFormatError("not enough symbols for the recorded file length")
+        ids = [s.header.node_id for s in chosen]
 
-    def repair_shard(self, failed: int, helpers: Sequence[Shard]) -> tuple[Shard, int]:
-        """Regenerate shard ``failed`` from d helper shards.
+        def blocks() -> Iterator[bytes]:
+            left = head.original_length
+            for _, block in self._payload_blocks(chosen, stripes):
+                secrets = self.recover_batch(ids, block.transpose(1, 0, 2)).reshape(-1)
+                size = min(left, len(secrets) * w // 8)
+                left -= size
+                yield unpack_bytes(secrets, q, size)
 
-        Returns the rebuilt shard and the repair bandwidth in symbols
-        (stripes x d helpers x beta independent symbols each).
-        """
+        return head.original_length, blocks()
+
+    def _repair(
+        self, failed: int, helpers: Sequence[Shard | ShardFile]
+    ) -> tuple[ShardHeader, int, Iterator[tuple[slice, np.ndarray]]]:
+        """The header of shard ``failed``, the repair bandwidth in symbols
+        (stripes x d helpers x beta independent symbols each), and the
+        shard's payload block by block, (b, alpha) each, from d helpers."""
         params = self.params
         if not 1 <= failed <= params.n:
             raise ValueError(f"node id {failed} out of range [1, {params.n}]")
@@ -409,24 +512,99 @@ class StripedCodec:
         if failed in ids:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
         helpers = sorted(helpers, key=lambda s: s.header.node_id)
-        ids = sorted(ids)
-        d, alpha = params.d, params.alpha
-        views = self._stripe_views(helpers)
-        stripes = len(views[0])
-        xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
-        psi_h = self.psi.submatrix([i - 1 for i in ids], range(d))
-        psi_h_inv = psi_h.inv().a.astype(np.float64)
-        vals = np.empty((stripes, alpha), dtype=np.uint16)
-        for s in self._blocks(stripes):
-            shares = np.stack([v[s] for v in views]).reshape(-1, alpha)
-            payloads = _mod(_mat(shares, xi), self.q)
-            # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
-            # signed sums of `recombine` cannot overflow int64.
-            mxi = _mat(psi_h_inv, payloads.reshape(d, -1)).astype(np.int64)
-            vals[s] = recombine(mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2), params)
         header = replace(helpers[0].header, node_id=failed)
-        bandwidth = stripes * d * params.beta
+        stripes = self._stripes(header)
+        d, alpha = params.d, params.alpha
+        xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
+        psi_h = self.psi.submatrix(sorted(i - 1 for i in ids), range(d))
+        psi_h_inv = psi_h.inv().a.astype(np.float64)
+
+        def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+            for s, block in self._payload_blocks(helpers, stripes):
+                payloads = _mod(_mat(block.reshape(-1, alpha), xi), self.q)
+                # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
+                # signed sums of `recombine` cannot overflow int64.
+                mxi = _mat(psi_h_inv, payloads.reshape(d, -1)).astype(np.int64)
+                yield s, recombine(mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2), params)
+
+        return header, stripes * d * params.beta, blocks()
+
+    # -- in memory -----------------------------------------------------------
+
+    def encode_file(self, data: bytes, seed: int, seed_present: bool) -> list[Shard]:
+        headers, blocks = self._encode(io.BytesIO(data).readinto, len(data), seed, seed_present)
+        params = self.params
+        stripes = headers[0].payload_symbols // params.alpha
+        # Row i of cb is shard i + 1's payload.
+        cb = np.empty((params.n, stripes, params.alpha), dtype=np.uint16)
+        for s, block in blocks:
+            cb[:, s] = block
+        return [Shard(h, rows.reshape(-1)) for h, rows in zip(headers, cb)]
+
+    def recover_file(self, shards: Sequence[Shard]) -> bytes:
+        _, blocks = self._recover(shards)
+        return b"".join(blocks)
+
+    def repair_shard(self, failed: int, helpers: Sequence[Shard]) -> tuple[Shard, int]:
+        """Regenerate shard ``failed`` from d helper shards.
+
+        Returns the rebuilt shard and the repair bandwidth in symbols
+        (stripes x d helpers x beta independent symbols each).
+        """
+        header, bandwidth, blocks = self._repair(failed, helpers)
+        vals = np.empty((header.payload_symbols // self.params.alpha, self.params.alpha), np.uint16)
+        for s, rows in blocks:
+            vals[s] = rows
         return Shard(header, vals.reshape(-1)), bandwidth
+
+    # -- streaming to files --------------------------------------------------
+
+    def encode_to(
+        self, source: str | Path, out_dir: str | Path, seed: int, seed_present: bool
+    ) -> list[ShardHeader]:
+        """Encode the file ``source`` into ``out_dir``/shard_NNN.detc, one
+        block at a time, and return the shard headers."""
+        out_dir = Path(out_dir)
+        with open(source, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise ValueError(f"{source} is not a regular file")
+            headers, blocks = self._encode(fh.readinto, st.st_size, seed, seed_present)
+            made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                with _replacing([out_dir / f"shard_{h.node_id:03d}.detc" for h in headers]) as files:
+                    for f, h in zip(files, headers):
+                        f.write(h.to_bytes())
+                    for _, block in blocks:
+                        for f, rows in zip(files, block.astype("<u2", copy=False)):
+                            f.write(rows)
+            except BaseException:
+                for p in made:
+                    with contextlib.suppress(OSError):
+                        p.rmdir()
+                raise
+        return headers
+
+    def recover_to(self, shards: Sequence[Shard | ShardFile], out: str | Path) -> int:
+        """Recover the file into ``out``, one block at a time; return its length."""
+        length, blocks = self._recover(shards)
+        with _replacing([Path(out)]) as (fh,):
+            for chunk in blocks:
+                fh.write(chunk)
+        return length
+
+    def repair_to(
+        self, failed: int, helpers: Sequence[Shard | ShardFile], out: str | Path
+    ) -> int:
+        """Write shard ``failed`` to ``out``, one block at a time; return the
+        repair bandwidth in symbols."""
+        header, bandwidth, blocks = self._repair(failed, helpers)
+        with _replacing([Path(out)]) as (fh,):
+            fh.write(header.to_bytes())
+            for _, rows in blocks:
+                fh.write(np.ascontiguousarray(rows, dtype="<u2"))
+        return bandwidth
 
 
 # Exact GF(q) products in float64.  Operands hold residues below q < 2^16
@@ -435,6 +613,13 @@ class StripedCodec:
 # is an integer below 2^17 * (2^16)^2 = 2^49 < 2^53, which float64 holds
 # exactly whatever the summation order (Dumas, Giorgi & Pernet, "FFLAS and
 # FFPACK", ACM TOMS 2008), and numpy runs the product as one BLAS dgemm.
+#
+# `_mod` reduces such an integer x = kq + r (0 <= r < q) without leaving
+# float64: fl(x / q) is k + r/q rounded to nearest, which is at least k,
+# because k is a float64 and rounding is monotonic.  It cannot reach k + 1:
+# (k + 1) - (k + r/q) = (q - r)/q >= 1/q, while half an ulp of k is at most
+# k * 2^-53 < 1/q whenever kq < 2^53.  So floor(fl(x / q)) = k, and
+# x - q*k is exact as well.  Every operand here is below 2^49.
 
 
 def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -443,13 +628,16 @@ def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Canonical int64 residues of exact integers held in float64."""
-    r = x.astype(np.int64)
-    r %= q
+    """Canonical residues, in float64, of exact integers 0 <= x < 2^53 held
+    in float64."""
+    r = x / q
+    np.floor(r, out=r)
+    r *= q
+    np.subtract(x, r, out=r)
     return r
 
 
-def codec_for_headers(shards: Sequence[Shard]) -> StripedCodec:
+def codec_for_headers(shards: Sequence[Shard | ShardFile]) -> StripedCodec:
     """Validate header consistency across shards and build their codec."""
     if not shards:
         raise ShardFormatError("no shards given")

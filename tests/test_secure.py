@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -243,9 +244,9 @@ def test_key_stream_uniformity_chi_square():
 @pytest.mark.parametrize(
     "q, first16",
     [
-        (11, [0, 3, 1, 10, 2, 6, 8, 7, 0, 9, 5, 9, 3, 0, 2, 0]),
-        (65521, [57377, 63964, 58466, 35959, 35625, 53913, 39482, 16596,
-                 59748, 6530, 44193, 16762, 32698, 18283, 4636, 44416]),
+        (11, [3, 0, 0, 1, 5, 3, 2, 10, 4, 10, 0, 9, 10, 1, 7, 7]),
+        (65521, [25592, 16927, 37208, 5504, 57552, 40552, 4373, 63453,
+                 24232, 53314, 1707, 3448, 36021, 63624, 23635, 16120]),
     ],
     ids=["q11", "q65521"],
 )
@@ -262,6 +263,30 @@ def test_key_stream_draws_continue_the_stream(q):
     parts = [ks.draw(c) for c in (0, 1, 999, 0, 1500, 2500)]
     assert np.array_equal(np.concatenate(parts), whole)
     assert whole.min() >= 0 and whole.max() < q
+
+
+def _segment_reference(seed, q, count):
+    """Key stream v3 word by word: segment j is SHAKE-256 of the tag, q, the
+    seed and j, read for 2^16 little-endian 16-bit words."""
+    out, j, limit = [], 0, (1 << 16) - (1 << 16) % q
+    while len(out) < count:
+        key = b"detcodes-keystream-v3" + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
+        raw = hashlib.shake_256(key + j.to_bytes(8, "little")).digest(2 << 16)
+        words = (int.from_bytes(raw[i : i + 2], "little") for i in range(0, len(raw), 2))
+        out += [w % q for w in words if w < limit][: count - len(out)]
+        j += 1
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 32771])
+def test_key_stream_segments_match_reference(q):
+    # 70,000 keys cross segment boundaries at q = 2, where the second draw
+    # ends exactly on the first boundary (no word is rejected), and at
+    # q = 32771, where about half of all words are rejected.
+    ks = KeyStream(5, q)
+    parts = [ks.draw(c) for c in (1, 65535, 1, 4463)]
+    assert all(p.dtype == np.uint16 for p in parts)
+    assert np.concatenate(parts).tolist() == _segment_reference(5, q, 70000)
 
 
 def test_key_stream_seed_range():
