@@ -10,21 +10,13 @@ index is 0-based, and conversions are always an explicit ``- 1``.
 """
 
 from .gf import Field, is_prime, smallest_prime_gt
-from .gfmatrix import (
-    GFMatrix,
-    InconsistentSystemError,
-    SingularMatrixError,
-)
+from .gfmatrix import GFMatrix, SingularMatrixError
 from .subsets import LexIndexer, Subset, binom, ind
 from .code import (
-    CellKind,
     NodeShare,
     RepairPacket,
     SystemParams,
-    build_message_matrix,
-    cell_kind,
     encode,
-    info_symbols,
     multi_repair_rank,
     parity_holds,
     recover_message,
@@ -37,7 +29,6 @@ from .code import (
 from .secure import (
     KeyStream,
     MessageLayout,
-    Role,
     Scheme,
     SecureParams,
     assemble,
@@ -45,16 +36,13 @@ from .secure import (
     extract_keys,
     extract_secrets,
     key_count,
-    sample_keys,
     secret_capacity,
 )
 from .leakage import (
     LinearObservation,
     decode_keys_type_i,
     decode_keys_type_ii,
-    keys_recoverable,
     mutual_information,
-    observation_entropy,
     observe_node_contents,
     observe_repair_traffic,
     xi_block_triangularize,

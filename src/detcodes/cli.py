@@ -13,8 +13,8 @@ import os
 import sys
 
 from .gf import Field, smallest_prime_gt
-from .code import SystemParams
-from .secure import Scheme, SecureParams, secret_capacity, key_count
+from .code import SystemParams, vandermonde_encoder
+from .secure import Scheme, SecureParams, build_layout, ell_range
 from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_sweep
 from .shards import ShardFile, StripedCodec, codec_for_headers
 from .tradeoff import (
@@ -126,11 +126,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     sparams = _secure_params(args)
     base = sparams.base
     d, m, ell = base.d, base.m, sparams.ell
-    fs = secret_capacity(d, ell, m, sparams.scheme)
-    nk = key_count(d, ell, m, sparams.scheme)
-    from .code import vandermonde_encoder
-    from .secure import build_layout
-
     layout = build_layout(sparams)
     psi = vandermonde_encoder(base)
     rows = audit_sweep(layout, psi, max_set_size=args.max_set_size)
@@ -138,7 +133,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         f"system (n={base.n}, k=d={d}, m={m}) q={base.q}: "
         f"F={base.file_size} alpha={base.alpha} beta={base.beta}"
     )
-    print(f"scheme={sparams.scheme.value} ell={ell}: Fs={fs} keys={nk}")
+    print(f"scheme={sparams.scheme.value} ell={ell}: "
+          f"Fs={layout.secret_count} keys={layout.key_count}")
     print(AUDIT_CSV_HEADER)
     for row in rows:
         print(row.as_csv())
@@ -159,6 +155,13 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def cmd_pareto(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
+    if args.d < 1:
+        raise ValueError(f"d must be positive, got d={args.d}")
+    allowed = ell_range(scheme, args.d)
+    if args.ell not in allowed:
+        raise ValueError(
+            f"{scheme.value} at d={args.d} requires 0 <= ell <= {allowed[-1]}, got ell={args.ell}"
+        )
     modes = sorted(pareto_points_bruteforce(args.d, args.ell, scheme))
     print(f"pareto modes for d={args.d}, ell={args.ell}, {scheme.value}: "
           + (",".join(map(str, modes)) or "-"))

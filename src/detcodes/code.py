@@ -19,31 +19,15 @@ and converting between the two is always an explicit ``- 1``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .gf import Field, smallest_prime_gt
-from .gfmatrix import GFMatrix, rank_of
+from .gfmatrix import GFMatrix, echelon_pivots, rank_of
 from .subsets import LexIndexer, Subset, binom
-
-
-class CellKind(enum.Enum):
-    V = "V"
-    W = "W"
-    P = "P"
-
-
-def cell_kind(x: int, I: Subset) -> CellKind:
-    """Classify matrix cell (x, I) by row label x and column subset I."""
-    if x in I:
-        return CellKind.V
-    if x < max(I):
-        return CellKind.W
-    return CellKind.P
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -203,26 +187,9 @@ def recombine(mxi: np.ndarray, params: SystemParams) -> np.ndarray:
     return params.repair_table.sums(mxi, params.q)
 
 
-def build_message_matrix(params: SystemParams, symbols: Sequence[int]) -> GFMatrix:
-    """Place F information symbols into the V/W cells (canonical fill
-    order) and complete all parity cells."""
-    if len(symbols) != params.file_size:
-        raise ValueError(
-            f"expected {params.file_size} information symbols, got {len(symbols)}"
-        )
-    arr = np.zeros((params.d, params.alpha), dtype=np.int64)
-    arr[params.info_index] = np.asarray(symbols, dtype=np.int64) % params.q
-    return GFMatrix(params.q, close_parity(arr, params))
-
-
 def parity_holds(M: GFMatrix, params: SystemParams) -> bool:
     (rows, cols), partners = params.parity_table
     return np.array_equal(M.a[rows, cols], partners.sums(M.a, params.q))
-
-
-def info_symbols(M: GFMatrix, params: SystemParams) -> np.ndarray:
-    """Read the V/W cells back out in the canonical fill order."""
-    return M.a[params.info_index]
 
 
 # -- encoding and recovery ---------------------------------------------------
@@ -240,28 +207,6 @@ def vandermonde_encoder(params: SystemParams) -> GFMatrix:
     for _ in range(params.d - 1):
         cols.append(cols[-1] * gens % q)
     return GFMatrix(q, np.stack(cols, axis=1))
-
-
-def check_mds(psi: GFMatrix, d: int) -> bool:
-    """Condition C1: every d x d submatrix of Psi is full rank."""
-    from itertools import combinations
-
-    n = psi.rows
-    return all(
-        psi.submatrix([i - 1 for i in K], range(d)).rank() == d
-        for K in combinations(range(1, n + 1), d)
-    )
-
-
-def check_leading_blocks(psi: GFMatrix, ell: int) -> bool:
-    """Condition C2: every l x l submatrix of Psi(:, [1:l]) is full rank."""
-    from itertools import combinations
-
-    n = psi.rows
-    return all(
-        psi.submatrix([i - 1 for i in L], range(ell)).rank() == ell
-        for L in combinations(range(1, n + 1), ell)
-    )
 
 
 @dataclass(frozen=True)
@@ -393,18 +338,5 @@ def packet_support_basis(xi: GFMatrix) -> tuple[int, ...]:
     Xi^f is a combination of the basis columns, so the corresponding
     payload entries satisfy the same combinations.
     """
-    _, pivots = xi.rref()
-    return pivots
+    return tuple(echelon_pivots(xi.a, xi.q))
 
-
-# -- cell-count bookkeeping ----------------------------------------------------
-
-
-def cell_counts(params: SystemParams) -> Mapping[str, int]:
-    """Sizes of the V, W and P cell classes; they sum to d * alpha."""
-    d, m = params.d, params.m
-    return {
-        "V": m * binom(d, m),
-        "W": m * binom(d, m + 1),
-        "P": binom(d, m + 1),
-    }

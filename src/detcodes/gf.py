@@ -1,4 +1,4 @@
-"""Prime-field arithmetic GF(q): the symbol algebra for every other module.
+"""Prime fields GF(q): the modulus check and the default field size.
 
 Field elements are plain Python integers (or numpy int64 entries) kept as
 canonical residues in ``[0, q)``.  Only prime moduli are supported; a prime
@@ -39,17 +39,10 @@ def smallest_prime_gt(n: int) -> int:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(q) for a prime q.  All operations return canonical residues."""
+    """GF(q) for a prime q; constructing one checks that q is prime."""
 
     q: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat; inverting zero raises."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError(f"zero has no inverse in GF({self.q})")
-        return pow(a, self.q - 2, self.q)

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over GF(q).
 
 Matrices are immutable wrappers around 2-D int64 numpy arrays holding
-canonical residues.  Elimination uses plain first-nonzero pivoting; over an
-exact field there is no numerical pivot strategy to worry about, and the
-row operations are vectorized so rank computations on the few-hundred-row
+canonical residues.  One forward elimination kernel serves ranks, `rref`
+and `inv`.  It uses plain first-nonzero pivoting; over an exact field
+there is no numerical pivot strategy to worry about, and the row
+operations are vectorized so rank computations on the few-hundred-row
 matrices produced by the security audits stay cheap.
 """
 
@@ -19,10 +20,6 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
 
 
-class InconsistentSystemError(ValueError):
-    """Raised by solve() when A x = y has no solution."""
-
-
 def _canonical(a: object, q: int) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64) % q
     if arr.ndim != 2:
@@ -32,45 +29,9 @@ def _canonical(a: object, q: int) -> np.ndarray:
     return arr
 
 
-def row_reduce(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int], int]:
-    """Reduced row echelon form over GF(q).
-
-    Returns (rref, pivot_columns, det_factor) where det_factor is the
-    product of pivot values times the row-swap sign, reduced mod q; for a
-    square full-rank input it equals the determinant.
-    """
-    a = np.array(a, dtype=np.int64) % q
-    rows, cols = a.shape
-    pivots: list[int] = []
-    det_factor = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-            det_factor = -det_factor
-        pv = int(a[r, c])
-        det_factor = det_factor * pv % q
-        a[r] = a[r] * pow(pv, q - 2, q) % q
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a = (a - np.outer(factors, a[r])) % q
-        pivots.append(c)
-        r += 1
-    return a, pivots, det_factor % q
-
-
-def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
-    """Pivot columns of a row echelon form (forward elimination only).
-
-    Since columns are processed left to right, the number of pivots below
-    any column index k is exactly the rank of the first k columns; rank
-    queries for a matrix and a column prefix share one elimination.
+def _forward(a: np.ndarray, q: int, keep_rows: bool) -> list[int]:
+    """Forward elimination of an int64 array in place; returns the pivot
+    columns of a row echelon form.
 
     Reduction mod q is delayed (Dumas, Giorgi & Pernet, TOMS 2008): each
     step reduces only the inspected column and the pivot row, and
@@ -78,10 +39,14 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
     step moves an entry by less than (q-1)^2, so the block is reduced
     once every 2^62 // (q-1)^2 steps and int64 never overflows; for
     q < 2^16 that is never in practice, for q near 2^31 every step.
-    The input is never modified: reducing it mod q makes the one copy
-    the elimination works in.
+
+    With ``keep_rows``, row i of ``a`` ends as the i-th pivot row scaled
+    to a leading 1, valid from its pivot column on and reduced mod q;
+    every entry left of a row's pivot, and every row below the rank, is
+    left unspecified.  Rank queries, the audits' hot loop, go without:
+    they store no pivot row, and scale none for a column whose only
+    nonzero is the pivot.
     """
-    a = np.asarray(a, dtype=np.int64) % q
     rows, cols = a.shape
     period = max(1, (1 << 62) // (q - 1) ** 2)
     pending = 0
@@ -95,8 +60,9 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
         if nz.size == 0:
             continue
         k = int(nz[0])
-        if nz.size > 1:
+        if nz.size > 1 or keep_rows:
             pivot_row = a[r + k, c + 1 :] % q * pow(int(col[k]), q - 2, q) % q
+        if nz.size > 1:
             if pending == period:
                 a[r:, c + 1 :] %= q
                 pending = 0
@@ -104,12 +70,40 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
             a[r + below, c + 1 :] -= col[below, None] * pivot_row
             pending += 1
         if k:
-            # Row r is zero in column c, so it moves to the pivot row's
-            # slot; slot r is never read again.
+            # Row r is zero in column c and untouched by this step, so it
+            # moves to the pivot row's slot.
             a[r + k, c + 1 :] = a[r, c + 1 :]
+        if keep_rows:
+            a[r, c] = 1
+            a[r, c + 1 :] = pivot_row
         pivots.append(c)
         r += 1
     return pivots
+
+
+def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
+    """Pivot columns of a row echelon form (forward elimination only).
+
+    Since columns are processed left to right, the number of pivots below
+    any column index k is exactly the rank of the first k columns; rank
+    queries for a matrix and a column prefix share one elimination.  The
+    input is never modified: reducing it mod q makes the one copy the
+    elimination works in.
+    """
+    return _forward(np.asarray(a, dtype=np.int64) % q, q, keep_rows=False)
+
+
+def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot columns: the forward pass with
+    its pivot rows kept, then back substitution from the last pivot up."""
+    work = np.asarray(a, dtype=np.int64) % q
+    pivots = _forward(work, q, keep_rows=True)
+    out = np.zeros_like(work)
+    for i, p in enumerate(pivots):
+        out[i, p:] = work[i, p:]
+    for i in range(len(pivots) - 1, 0, -1):
+        out[:i] = (out[:i] - out[:i, pivots[i], None] * out[i]) % q
+    return out, pivots
 
 
 def rank_of(a: np.ndarray, q: int) -> int:
@@ -200,45 +194,17 @@ class GFMatrix:
     # -- elimination-based operations --------------------------------------
 
     def rref(self) -> tuple["GFMatrix", tuple[int, ...]]:
-        r, pivots, _ = row_reduce(self.a, self.q)
+        r, pivots = _rref(self.a, self.q)
         return GFMatrix(self.q, r), tuple(pivots)
 
     def rank(self) -> int:
         return rank_of(self.a, self.q)
 
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError(f"determinant of non-square {self.shape} matrix")
-        if self.rows == 0:
-            return 1 % self.q
-        _, pivots, factor = row_reduce(self.a, self.q)
-        return factor if len(pivots) == self.rows else 0
-
     def inv(self) -> "GFMatrix":
         if self.rows != self.cols:
             raise SingularMatrixError(f"cannot invert non-square {self.shape} matrix")
         n = self.rows
-        aug = np.hstack([self.a, np.eye(n, dtype=np.int64)])
-        r, pivots, _ = row_reduce(aug, self.q)
+        r, pivots = _rref(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.q)
         if len(pivots) < n or (pivots and pivots[-1] >= n):
             raise SingularMatrixError("matrix is singular over GF(%d)" % self.q)
         return GFMatrix(self.q, r[:, n:])
-
-    def solve(self, y: "GFMatrix") -> tuple["GFMatrix", bool]:
-        """Solve A X = Y; returns (X, unique).
-
-        X is the solution with all free variables set to zero; ``unique``
-        is True iff A has full column rank.  Raises
-        InconsistentSystemError when no solution exists.
-        """
-        self._check_field(y)
-        if y.rows != self.rows:
-            raise ValueError(f"right-hand side has {y.rows} rows, expected {self.rows}")
-        aug = np.hstack([self.a, y.a])
-        r, pivots, _ = row_reduce(aug, self.q)
-        if any(p >= self.cols for p in pivots):
-            raise InconsistentSystemError("system A x = y has no solution")
-        x = np.zeros((self.cols, y.cols), dtype=np.int64)
-        for row, p in enumerate(pivots):
-            x[p] = r[row, self.cols:]
-        return GFMatrix(self.q, x), len(pivots) == self.cols

@@ -46,21 +46,6 @@ class LinearObservation:
     q: int
     secret_map: np.ndarray
     key_map: np.ndarray
-    provenance: str = ""
-
-    @property
-    def obs_dim(self) -> int:
-        return self.secret_map.shape[0]
-
-    def full_map(self) -> np.ndarray:
-        return np.hstack([self.secret_map, self.key_map])
-
-    def materialize(self, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Symbols the eavesdropper would actually see for given inputs."""
-        return (
-            self.secret_map @ np.asarray(secrets, dtype=np.int64)
-            + self.key_map @ np.asarray(keys, dtype=np.int64)
-        ) % self.q
 
 
 def cell_maps(layout: MessageLayout) -> np.ndarray:
@@ -76,9 +61,9 @@ def cell_maps(layout: MessageLayout) -> np.ndarray:
     return T
 
 
-def _split(rows: np.ndarray, layout: MessageLayout, q: int, provenance: str) -> LinearObservation:
+def _split(rows: np.ndarray, layout: MessageLayout, q: int) -> LinearObservation:
     fs = layout.secret_count
-    return LinearObservation(q, rows[:, :fs], rows[:, fs:], provenance)
+    return LinearObservation(q, rows[:, :fs], rows[:, fs:])
 
 
 def observe_node_contents(
@@ -101,7 +86,7 @@ def observe_node_contents(
         if blocks
         else np.zeros((0, maps.shape[2]), dtype=np.int64)
     )
-    return _split(rows, layout, q, f"contents of nodes {nodes}")
+    return _split(rows, layout, q)
 
 
 def observe_repair_traffic(
@@ -132,7 +117,7 @@ def observe_repair_traffic(
         if blocks
         else np.zeros((0, maps.shape[2]), dtype=np.int64)
     )
-    return _split(rows, layout, q, f"repair traffic into nodes {nodes}")
+    return _split(rows, layout, q)
 
 
 def reduced_traffic_rows(
@@ -174,29 +159,13 @@ def observation_ranks(
     return len(pivots), sum(1 for p in pivots if p < nk)
 
 
-def observation_entropy(obs: LinearObservation) -> int:
-    """H(view) in q-ary symbols for uniform independent secrets and keys."""
-    return observation_ranks(obs)[0]
-
-
 def mutual_information(obs: LinearObservation) -> int:
     """Exact I(secrets; view) in q-ary symbols; zero means perfect secrecy."""
     total, key_rank = observation_ranks(obs)
     return total - key_rank
 
 
-def keys_recoverable(obs: LinearObservation) -> bool:
-    """True iff the view plus the secrets pin down every key symbol."""
-    return observation_ranks(obs)[1] == obs.key_map.shape[1]
-
-
 # -- key decoders (constructive counterparts of the rank statements) -----------
-
-
-def type_i_decode_order(params: SystemParams) -> list[Subset]:
-    """Columns in the order the Type-I decoder reconstructs them: reverse
-    lexicographic, so the last column [d-m+1 : d] is decoded first."""
-    return list(params.columns.subsets())[::-1]
 
 
 def decode_keys_type_i(
@@ -550,9 +519,7 @@ def audit_sweep(
         for L in combinations(range(1, params.n + 1), size):
             if type_ii:
                 stacked = np.vstack([traffic[f] for f in L])
-                obs = LinearObservation(
-                    params.q, stacked[:, nk:], stacked[:, :nk], f"repair traffic into {L}"
-                )
+                obs = LinearObservation(params.q, stacked[:, nk:], stacked[:, :nk])
                 entropy, key_rank = observation_ranks(obs, key_first=stacked)
             else:
                 obs = observe_node_contents(L, psi, layout, maps=maps)

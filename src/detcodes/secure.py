@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import CellKind, SystemParams, cell_kind, close_parity, info_cells, read_only
+from .code import SystemParams, close_parity, info_cells, read_only
 from .gfmatrix import GFMatrix
 from .subsets import Subset, binom
 
@@ -32,10 +32,10 @@ class Scheme(enum.Enum):
     TYPE_II = "type2"
 
 
-class Role(enum.Enum):
-    SECRET = "secret"
-    KEY = "key"
-    PARITY = "parity"
+def ell_range(scheme: Scheme, d: int) -> range:
+    """Compromised-node budgets the scheme allows at repair degree d: only
+    0 for plain, 0 <= ell < d for Type-I and 0 <= ell <= d for Type-II."""
+    return range({Scheme.PLAIN: 1, Scheme.TYPE_I: d, Scheme.TYPE_II: d + 1}[scheme])
 
 
 def secret_capacity(d: int, ell: int, m: int, scheme: Scheme) -> int:
@@ -62,14 +62,12 @@ class SecureParams:
 
     def __post_init__(self) -> None:
         d = self.base.d
-        if self.scheme is Scheme.PLAIN:
-            if self.ell != 0:
-                raise ValueError("plain layout requires ell == 0")
-        elif self.scheme is Scheme.TYPE_I:
-            if not 0 <= self.ell < d:
-                raise ValueError(f"Type-I requires 0 <= ell < d, got ell={self.ell}, d={d}")
-        elif not 0 <= self.ell <= d:
-            raise ValueError(f"Type-II requires 0 <= ell <= d, got ell={self.ell}, d={d}")
+        allowed = ell_range(self.scheme, d)
+        if self.ell not in allowed:
+            raise ValueError(
+                f"{self.scheme.value} at d={d} requires 0 <= ell <= {allowed[-1]}, "
+                f"got ell={self.ell}"
+            )
         if (
             self.scheme is Scheme.TYPE_II
             and self.ell > 0
@@ -90,15 +88,14 @@ class SecureParams:
         return key_count(self.base.d, self.ell, self.base.m, self.scheme)
 
 
-def _free_cell_role(x: int, I: Subset, ell: int, scheme: Scheme) -> Role:
+def _holds_secret(x: int, I: Subset, ell: int, scheme: Scheme) -> bool:
+    """Whether free cell (x, I) holds a secret; every other free cell holds a key."""
     if scheme is Scheme.PLAIN or ell == 0:
-        return Role.SECRET
+        return True
     if scheme is Scheme.TYPE_I:
-        return Role.KEY if x <= ell else Role.SECRET
+        return x > ell
     # Type-II: secrets live in block D only
-    if x > ell and I[0] > ell:
-        return Role.SECRET
-    return Role.KEY
+    return x > ell and I[0] > ell
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ class MessageLayout:
         """Whether each cell of the fill order holds a secret: the one scan."""
         sp = self.sparams
         return np.array(
-            [_free_cell_role(x, I, sp.ell, sp.scheme) is Role.SECRET for x, I in info_cells(sp.base)],
+            [_holds_secret(x, I, sp.ell, sp.scheme) for x, I in info_cells(sp.base)],
             dtype=bool,
         )
 
@@ -143,11 +140,6 @@ class MessageLayout:
     @property
     def key_count(self) -> int:
         return len(self._is_secret) - self.secret_count
-
-    def role_of(self, x: int, I: Subset) -> Role:
-        if cell_kind(x, I) is CellKind.P:
-            return Role.PARITY
-        return _free_cell_role(x, I, self.sparams.ell, self.sparams.scheme)
 
 
 def build_layout(sparams: SecureParams) -> MessageLayout:
@@ -259,10 +251,3 @@ class KeyStream:
             filled += len(taken)
             self._words = words[end:]
         return out
-
-
-def sample_keys(count: int, seed: int, q: int) -> np.ndarray:
-    """Draw ``count`` uniform field symbols; same arguments, same symbols."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return KeyStream(seed, q).draw(count)

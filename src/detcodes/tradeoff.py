@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .secure import Scheme, secret_capacity
+from .secure import Scheme, ell_range, secret_capacity
 from .subsets import binom
 
 
@@ -84,10 +84,6 @@ def pareto_modes(d: int, ell: int, scheme: Scheme) -> frozenset[int]:
     Modes with zero secret capacity have no normalized pair and are
     excluded outright.
     """
-    return _pareto_modes_impl(d, ell, scheme)
-
-
-def _pareto_modes_impl(d: int, ell: int, scheme: Scheme) -> frozenset[int]:
     pts: list[tuple[Fraction, Fraction, int]] = []
     for m in range(1, d + 1):
         fs = secret_capacity(d, ell, m, scheme)
@@ -122,7 +118,7 @@ def _cross(o: tuple, a: tuple, b: tuple) -> Fraction:
 
 def pareto_points_bruteforce(d: int, ell: int, scheme: Scheme) -> set[int]:
     """Exact-rational convex-hull oracle; cross-checks pareto_count."""
-    return set(_pareto_modes_impl(d, ell, scheme))
+    return set(pareto_modes(d, ell, scheme))
 
 
 def single_pareto_threshold(d: int) -> int:
@@ -199,27 +195,6 @@ def external_bound_check(d: int, ell: int, m: int, n: int | None = None) -> list
     return checks
 
 
-def shao_family_matches(d: int, ell: int) -> bool:
-    """The (n = d+1) Type-II construction family from the literature is a
-    1/(t-1) scaling of the mode t-1 tuple; verify the identity exactly."""
-    n = d + 1
-    for t in range(2, n - ell + 1):
-        m = t - 1
-        lhs = (
-            Fraction(binom(n - 1, t - 1), t - 1),
-            Fraction(binom(n - 1, t - 1), d),
-            Fraction(binom(n - ell, t)),
-        )
-        rhs = (
-            Fraction(binom(d, m), m),
-            Fraction(binom(d - 1, m - 1), m),
-            Fraction(secret_capacity(d, ell, m, Scheme.TYPE_II), m),
-        )
-        if lhs != rhs:
-            return False
-    return True
-
-
 # -- CSV emission -------------------------------------------------------------------
 
 TRADEOFF_CSV_HEADER = (
@@ -248,11 +223,7 @@ def emit_tradeoff_csv(
     for scheme in schemes:
         for d in d_values:
             for ell in ells:
-                if scheme is Scheme.PLAIN and ell != 0:
-                    continue
-                if scheme is Scheme.TYPE_I and not 0 <= ell < d:
-                    continue
-                if scheme is Scheme.TYPE_II and not 0 <= ell <= d:
+                if ell not in ell_range(scheme, d):
                     continue
                 for m in range(1, d + 1):
                     p = point(d, ell, m, scheme)

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from detcodes.code import (
-    CellKind,
     RepairPacket,
-    build_message_matrix,
-    cell_counts,
-    cell_kind,
-    check_leading_blocks,
-    check_mds,
     close_parity,
     encode,
     info_cells,
-    info_symbols,
     multi_repair_rank,
     packet_support_basis,
     parity_holds,
@@ -26,12 +19,19 @@ from detcodes.code import (
     vandermonde_encoder,
 )
 from detcodes.gfmatrix import GFMatrix
+from detcodes.secure import Scheme, SecureParams, assemble, build_layout, extract_secrets
 from detcodes.subsets import binom, ind
+
+
+def plain_message(params, symbols):
+    """The message matrix holding F information symbols in fill order."""
+    layout = build_layout(SecureParams(params, 0, Scheme.PLAIN))
+    return assemble(layout, symbols, np.zeros(0, dtype=np.int64))
 
 
 def random_message(params, seed=0):
     rng = np.random.default_rng(seed)
-    return build_message_matrix(params, rng.integers(0, params.q, params.file_size))
+    return plain_message(params, rng.integers(0, params.q, params.file_size))
 
 
 def test_parameters_d6_m2():
@@ -54,33 +54,41 @@ def test_params_validation():
 
 
 def test_cell_kind_and_counts():
-    assert cell_kind(2, (2, 4)) is CellKind.V
-    assert cell_kind(1, (2, 4)) is CellKind.W
-    assert cell_kind(3, (2, 4)) is CellKind.W
-    assert cell_kind(5, (2, 4)) is CellKind.P
+    # Cell (x, I) is V-type when x is in I, W-type when x < max I lies
+    # outside I, and P-type when x > max I.
+    ps = system(8, 6, 2)
+    free = set(info_cells(ps))
+    (rows, cols), _ = ps.parity_table
+    subsets = list(ps.columns.subsets())
+    parity = {(x + 1, subsets[c]) for x, c in zip(rows.tolist(), cols.tolist())}
+    assert (2, (2, 4)) in free and (1, (2, 4)) in free and (3, (2, 4)) in free
+    assert (5, (2, 4)) in parity and (5, (2, 4)) not in free
     for d in range(1, 9):
         for m in range(1, d + 1):
             ps = system(d + 2, d, m)
-            counts = cell_counts(ps)
-            assert counts["V"] == m * binom(d, m)
-            assert counts["W"] == m * binom(d, m + 1)
-            assert counts["P"] == binom(d, m + 1)
-            assert sum(counts.values()) == d * ps.alpha
-            assert counts["V"] + counts["W"] == ps.file_size
+            cells = info_cells(ps)
+            (rows, _), _ = ps.parity_table
+            v = sum(1 for x, I in cells if x in I)
+            assert v == m * binom(d, m)
+            assert len(cells) - v == m * binom(d, m + 1)
+            assert all(x < max(I) for x, I in cells if x not in I)
+            assert len(rows) == binom(d, m + 1)
+            assert len(cells) + len(rows) == d * ps.alpha
+            assert len(cells) == ps.file_size
 
 
 def test_message_matrix_symbol_count_enforced():
     ps = system(8, 6, 2)
     with pytest.raises(ValueError):
-        build_message_matrix(ps, [0] * 69)
+        plain_message(ps, [0] * 69)
 
 
 def test_message_matrix_edge_cases():
     ps = system(3, 1, 1)
-    m = build_message_matrix(ps, [3])
+    m = plain_message(ps, [3])
     assert m.shape == (1, 1) and m.a[0, 0] == 3
     ps = system(5, 3, 1)
-    z = build_message_matrix(ps, [0] * ps.file_size)
+    z = plain_message(ps, [0] * ps.file_size)
     assert z == GFMatrix.zeros(3, 3, ps.q)
     assert parity_holds(z, ps)
 
@@ -133,8 +141,9 @@ def test_parity_zero_group():
 def test_fill_order_and_info_symbol_roundtrip():
     ps = system(8, 6, 2)
     syms = np.arange(70) % ps.q
-    M = build_message_matrix(ps, syms)
-    assert np.array_equal(info_symbols(M, ps), syms)
+    M = plain_message(ps, syms)
+    layout = build_layout(SecureParams(ps, 0, Scheme.PLAIN))
+    assert np.array_equal(extract_secrets(M, layout), syms)
     # first column {1,2} receives the first two symbols in rows 1, 2
     assert M.a[0, 0] == syms[0] and M.a[1, 0] == syms[1]
     # fill order visits d*alpha - P cells
@@ -148,11 +157,13 @@ def test_vandermonde_encoder_convention():
 
 
 def test_encoder_conditions():
+    # C2: every l x l submatrix of the first l columns of Psi is full
+    # rank; l = d is C1, every d x d submatrix.
     ps = system(7, 6, 2)
     psi = vandermonde_encoder(ps)
-    assert check_mds(psi, ps.d)  # every 6x6 submatrix full rank
     for ell in range(1, ps.d + 1):
-        assert check_leading_blocks(psi, ell)
+        for L in combinations(range(ps.n), ell):
+            assert psi.submatrix(L, range(ell)).rank() == ell
 
 
 def test_encode_trivial_cases():
@@ -163,7 +174,7 @@ def test_encode_trivial_cases():
     # d=1: every share equals the single message row
     ps1 = system(4, 1, 1)
     psi1 = vandermonde_encoder(ps1)
-    m1 = build_message_matrix(ps1, [3])
+    m1 = plain_message(ps1, [3])
     for s in encode(m1, psi1):
         assert np.array_equal(s.values, m1.a[0])
 
@@ -312,9 +323,11 @@ def test_packet_compression_roundtrip():
             assert len(basis) == ps.beta
             # basis coordinates really are payload positions
             assert all(0 <= b < binom(6, m - 1) for b in basis)
-            # the basis coordinates of a payload determine all of it
-            sub = xi.submatrix(range(xi.rows), basis)
-            coeffs, _ = sub.solve(xi)  # sub @ coeffs == xi
+            # the basis coordinates of a payload determine all of it:
+            # Xi^f = Xi^f[:, basis] @ R for its reduced echelon form R
+            r, pivots = xi.rref()
+            assert pivots == basis
+            coeffs = r.submatrix(range(len(basis)), range(xi.cols))
             for s in shares:
                 if s.node_id == f:
                     continue

@@ -1,6 +1,7 @@
 import pytest
 
 from detcodes.gf import Field, smallest_prime_gt
+from detcodes.gfmatrix import GFMatrix, SingularMatrixError
 
 
 def test_smallest_prime_gt_examples():
@@ -28,28 +29,31 @@ def test_field_requires_prime_modulus():
             Field(bad)
 
 
+def inverse(a, q):
+    """The inverse of a in GF(q), as the inverse of the 1 x 1 matrix [a]."""
+    return int(GFMatrix(q, [[a]]).inv().a[0, 0])
+
+
 def test_arith_examples_gf7():
-    f = Field(7)
-    assert f.inv(3) == 5
-    assert f.inv(6) == 6
-    assert f.inv(10) == 5  # reduced first
+    assert inverse(3, 7) == 5
+    assert inverse(6, 7) == 6
+    assert inverse(10, 7) == 5  # reduced first
 
 
 def test_inverse_of_zero_is_reported():
-    with pytest.raises(ZeroDivisionError):
-        Field(11).inv(0)
+    with pytest.raises(SingularMatrixError):
+        inverse(0, 11)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_field_axioms_exhaustive(q):
     # every nonzero element has a unique inverse, and inversion is an
     # involution that respects products
-    f = Field(q)
     units = range(1, q)
-    inverses = [f.inv(a) for a in units]
+    inverses = [inverse(a, q) for a in units]
     assert sorted(inverses) == list(units)
     for a, a_inv in zip(units, inverses):
         assert a * a_inv % q == 1
-        assert f.inv(a_inv) == a
+        assert inverse(a_inv, q) == a
         for b in units:
-            assert f.inv(a * b) == a_inv * f.inv(b) % q
+            assert inverse(a * b, q) == a_inv * inverse(b, q) % q

@@ -17,13 +17,11 @@ from detcodes.leakage import (
     decode_keys_type_i,
     decode_keys_type_ii,
     hat_column_labels,
-    keys_recoverable,
     mutual_information,
-    observation_entropy,
+    observation_ranks,
     observe_node_contents,
     observe_repair_traffic,
     reduced_traffic_rows,
-    type_i_decode_order,
     xi_block_triangularize,
     xi_top_fullrank,
     LinearObservation,
@@ -48,6 +46,20 @@ def make_instance(n, d, m, ell, scheme, seed=0, q=None):
     return ps, lay, psi, s, k, M
 
 
+def full_map(obs):
+    """[M_S | M_Q]: the view as one map of (secrets, keys)."""
+    return np.hstack([obs.secret_map, obs.key_map])
+
+
+def entropy(obs):
+    return observation_ranks(obs)[0]
+
+
+def keys_recoverable(obs):
+    """The view plus the secrets pin down every key symbol."""
+    return observation_ranks(obs)[1] == obs.key_map.shape[1]
+
+
 def all_packets(M, psi, L, ps):
     out = {}
     for f in L:
@@ -66,17 +78,17 @@ def test_empty_set_observations():
     ps, lay, psi, *_ = make_instance(8, 6, 2, 2, Scheme.TYPE_I)
     for build in (observe_node_contents, observe_repair_traffic):
         obs = build([], psi, lay)
-        assert obs.obs_dim == 0
-        assert observation_entropy(obs) == 0
+        assert obs.secret_map.shape[0] == obs.key_map.shape[0] == 0
+        assert entropy(obs) == 0
         assert mutual_information(obs) == 0
 
 
 def test_observation_dimensions():
     ps, lay, psi, *_ = make_instance(8, 6, 2, 2, Scheme.TYPE_II)
     obs1 = observe_node_contents([4], psi, lay)
-    assert obs1.obs_dim == ps.alpha
+    assert obs1.secret_map.shape[0] == ps.alpha
     obs2 = observe_repair_traffic([4, 7], psi, lay)
-    assert obs2.obs_dim == 2 * (ps.n - 1) * binom(ps.d, ps.m - 1)
+    assert obs2.key_map.shape[0] == 2 * (ps.n - 1) * binom(ps.d, ps.m - 1)
     assert obs2.secret_map.shape[1] == lay.secret_count
     assert obs2.key_map.shape[1] == lay.key_count
 
@@ -87,13 +99,14 @@ def test_oracle_soundness_against_real_symbols():
         L = [2, 6]
         obs = observe_node_contents(L, psi, lay)
         actual = psi.submatrix([1, 5], range(6)).a @ M.a % ps.q
-        assert np.array_equal(obs.materialize(s, k).reshape(2, -1), actual)
+        seen = full_map(obs) @ np.concatenate([s, k]) % ps.q
+        assert np.array_equal(seen.reshape(2, -1), actual)
         obs2 = observe_repair_traffic(L, psi, lay)
         pkts = all_packets(M, psi, L, ps)
         expected = np.concatenate(
             [pkts[(h, f)] for f in L for h in range(1, 9) if h != f]
         )
-        assert np.array_equal(obs2.materialize(s, k), expected)
+        assert np.array_equal(full_map(obs2) @ np.concatenate([s, k]) % ps.q, expected)
 
 
 def test_mutual_information_trivial_maps():
@@ -101,7 +114,7 @@ def test_mutual_information_trivial_maps():
     assert mutual_information(obs) == 0
     full = LinearObservation(7, np.eye(4, dtype=np.int64), np.zeros((4, 0), dtype=np.int64))
     assert mutual_information(full) == 4
-    assert observation_entropy(full) == 4
+    assert entropy(full) == 4
 
 
 def test_keys_recoverable_trivial_maps():
@@ -124,7 +137,7 @@ def test_type_i_security_and_lemmas_d6():
         for L in combinations(range(1, 9), size):
             obs = observe_node_contents(L, psi, lay, maps=maps)
             assert mutual_information(obs) == 0
-            assert observation_entropy(obs) <= 30
+            assert entropy(obs) <= 30
             if size == 2:
                 assert keys_recoverable(obs)
 
@@ -136,9 +149,9 @@ def test_type_ii_security_and_lemmas_d6():
         for L in combinations(range(1, 9), size):
             obs = observe_repair_traffic(L, psi, lay, maps=maps)
             assert mutual_information(obs) == 0
-            assert observation_entropy(obs) <= 50
+            assert entropy(obs) <= 50
             # entropy is exactly m C(d+1,m+1) - m C(d-|L|+1,m+1)
-            assert observation_entropy(obs) == 70 - 2 * binom(7 - size, 3)
+            assert entropy(obs) == 70 - 2 * binom(7 - size, 3)
             if size == 2:
                 assert keys_recoverable(obs)
 
@@ -149,8 +162,8 @@ def test_type_ii_view_spans_type_i_view():
         ps, lay, psi, *_ = make_instance(7, 5, 2, 2, scheme)
         maps = cell_maps(lay)
         for L in combinations(range(1, 8), 2):
-            o1 = observe_node_contents(L, psi, lay, maps=maps).full_map()
-            o2 = observe_repair_traffic(L, psi, lay, maps=maps).full_map()
+            o1 = full_map(observe_node_contents(L, psi, lay, maps=maps))
+            o2 = full_map(observe_repair_traffic(L, psi, lay, maps=maps))
             r2 = rank_of(o2, ps.q)
             assert rank_of(np.vstack([o2, o1]), ps.q) == r2
             # hence Type-I leakage never exceeds Type-II leakage
@@ -171,7 +184,7 @@ def test_reduced_traffic_rows_keep_every_rank(n, d, m, q):
     for size in (1, 2):
         for L in combinations(range(1, n + 1), size):
             view = np.vstack([reduced[f] for f in L])
-            full = observe_repair_traffic(L, psi, lay, maps=maps).full_map()
+            full = full_map(observe_repair_traffic(L, psi, lay, maps=maps))
             assert view.shape[0] < full.shape[0]
             rank = rank_of(view, q)
             assert rank == rank_of(full, q) == rank_of(np.vstack([view, full]), q)
@@ -185,13 +198,6 @@ def test_leakage_beyond_budget_reported_not_asserted():
 
 
 # -- key decoders -----------------------------------------------------------------
-
-
-def test_type_i_decode_order_starts_at_last_column():
-    ps = system(8, 6, 2)
-    order = type_i_decode_order(ps)
-    assert order[0] == (5, 6)
-    assert order[-1] == (1, 2)
 
 
 def test_decode_keys_type_i_roundtrip_all_sets():

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcodes.code import parity_holds, parity_partners, system
+from detcodes.code import info_cells, parity_holds, parity_partners, system
 from detcodes.secure import (
     KeyStream,
-    Role,
     Scheme,
     SecureParams,
     assemble,
@@ -16,7 +15,6 @@ from detcodes.secure import (
     extract_keys,
     extract_secrets,
     key_count,
-    sample_keys,
     secret_capacity,
 )
 from detcodes.shards import StripedCodec
@@ -91,7 +89,7 @@ def test_type_ii_remark4_parities_inside_d_touch_only_secrets():
                     in_d = x > ell and all(y > ell for y in I)
                     if in_d:
                         for _, y, Y in parity_partners(x, I):
-                            assert lay.role_of(y, Y) is Role.SECRET
+                            assert (y, Y) in lay.secret_cells
                             assert y > ell and all(v > ell for v in Y)
 
 
@@ -147,8 +145,8 @@ def test_assemble_zero_inputs_and_count_errors():
 def test_type_i_parity_mixes_key_and_secret_like_worked_example():
     # group {1,3,4}: M(4,{1,3}) = -(key at (1,{3,4})) + (secret at (3,{1,4}))
     lay = layout_for(8, 6, 2, 2, Scheme.TYPE_I)
-    assert lay.role_of(1, (3, 4)) is Role.KEY
-    assert lay.role_of(3, (1, 4)) is Role.SECRET
+    assert (1, (3, 4)) in lay.key_cells
+    assert (3, (1, 4)) in lay.secret_cells
     rng = np.random.default_rng(9)
     s = rng.integers(0, 11, 40)
     k = rng.integers(0, 11, 30)
@@ -162,8 +160,8 @@ def test_type_i_parity_mixes_key_and_secret_like_worked_example():
 def test_type_ii_parity_in_c_block_mixes_keys_like_worked_example():
     # group {2,5,6}: M(6,{2,5}) = -(key at (2,{5,6})) + (key at (5,{2,6}))
     lay = layout_for(8, 6, 2, 2, Scheme.TYPE_II)
-    assert lay.role_of(2, (5, 6)) is Role.KEY
-    assert lay.role_of(5, (2, 6)) is Role.KEY
+    assert (2, (5, 6)) in lay.key_cells
+    assert (5, (2, 6)) in lay.key_cells
     rng = np.random.default_rng(10)
     s = rng.integers(0, 11, 20)
     k = rng.integers(0, 11, 50)
@@ -178,12 +176,13 @@ def test_node_share_column_structure_type_i():
     # column {1,2} of the Type-I layout: rows 1,2 hold keys, rows 3..6 are
     # parities of the form -(row-1 key) + (row-2 key).
     lay = layout_for(8, 6, 2, 2, Scheme.TYPE_I)
+    free = info_cells(lay.sparams.base)
     for x in range(3, 7):
-        assert lay.role_of(x, (1, 2)) is Role.PARITY
+        assert (x, (1, 2)) not in free
         partners = parity_partners(x, (1, 2))
         assert sorted((sign, y) for sign, y, _ in partners) == [(-1, 1), (1, 2)]
         for _, y, Y in partners:
-            assert lay.role_of(y, Y) is Role.KEY
+            assert (y, Y) in lay.key_cells
 
 
 def test_mbr_equality_of_schemes():
@@ -195,15 +194,15 @@ def test_mbr_equality_of_schemes():
 
 
 def test_sample_keys_determinism_and_bounds():
-    a = sample_keys(100, seed=7, q=11)
-    b = sample_keys(100, seed=7, q=11)
+    a = KeyStream(7, 11).draw(100)
+    b = KeyStream(7, 11).draw(100)
     assert np.array_equal(a, b)
-    assert sample_keys(0, seed=7, q=11).size == 0
-    c = sample_keys(100, seed=8, q=11)
+    assert KeyStream(7, 11).draw(0).size == 0
+    c = KeyStream(8, 11).draw(100)
     assert not np.array_equal(a, c)
     assert a.min() >= 0 and a.max() < 11
     with pytest.raises(ValueError):
-        sample_keys(-1, seed=0, q=11)
+        KeyStream(0, 11).draw(-1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -705,6 +705,17 @@ def test_cli_tradeoff_and_pareto(capsys):
     assert "1,2" in out and "2" in out
 
 
+@pytest.mark.parametrize(
+    "d,ell,scheme",
+    [(5, -1, "type1"), (5, 9, "type1"), (4, 2, "plain"), (0, 1, "type2"), (5, -1, "type2")],
+)
+def test_cli_pareto_rejects_invalid_budget_before_printing(capsys, d, ell, scheme):
+    assert run_cli("pareto", "--d", d, "--ell", ell, "--scheme", scheme) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_invalid_params_exit_code(tmp_path):
     inp = tmp_path / "x"
     inp.write_bytes(b"x")

@@ -12,7 +12,6 @@ from detcodes.tradeoff import (
     pareto_count,
     pareto_points_bruteforce,
     point,
-    shao_family_matches,
     single_pareto_threshold,
 )
 
@@ -164,9 +163,16 @@ def test_tandon16_special_families():
 
 
 def test_shao_family_identity():
+    # The (n = d+1) Type-II construction family from the literature is a
+    # 1/(t-1) scaling of the mode t-1 tuple.
     for d in range(2, 12):
+        n = d + 1
         for ell in range(1, d):
-            assert shao_family_matches(d, ell)
+            for t in range(2, n - ell + 1):
+                p = point(d, ell, t - 1, Scheme.TYPE_II)
+                assert Fraction(p.alpha, t - 1) == Fraction(binom(n - 1, t - 1), t - 1)
+                assert Fraction(p.beta, t - 1) == Fraction(binom(n - 1, t - 1), d)
+                assert Fraction(p.fs, t - 1) == binom(n - ell, t)
 
 
 def test_emit_csv_shapes():
