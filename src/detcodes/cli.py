@@ -14,7 +14,7 @@ import sys
 
 from .gf import Field, smallest_prime_gt
 from .code import SystemParams, vandermonde_encoder
-from .secure import Scheme, SecureParams, build_layout, ell_range
+from .secure import Scheme, SecureParams, _check_ell, build_layout
 from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_sweep
 from .shards import ShardFile, StripedCodec, codec_for_headers
 from .tradeoff import (
@@ -122,10 +122,24 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return 0
 
 
+# Bound on the cells of the audit's view tensor `cell_maps`, d x C(d,m) x F
+# int64 entries: 128 MiB at the bound, about 400 MiB peak with the identity
+# it is built from and the Type-II sweep's key-first copy.  Without it a
+# short command line such as (16,14,7) asks for a 16 GiB array, and
+# (60,50,25) for C(50,25) = 1.3e14 message columns, before any audit.
+_MAX_AUDIT_CELLS = 1 << 24
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
     sparams = _secure_params(args)
     base = sparams.base
     d, m, ell = base.d, base.m, sparams.ell
+    cells = d * base.alpha * base.file_size
+    if cells > _MAX_AUDIT_CELLS:
+        raise ValueError(
+            f"(n,d,m) = ({base.n},{d},{m}) needs {cells} audit map cells; "
+            f"the audit limit is {_MAX_AUDIT_CELLS}"
+        )
     layout = build_layout(sparams)
     psi = vandermonde_encoder(base)
     rows = audit_sweep(layout, psi, max_set_size=args.max_set_size)
@@ -146,10 +160,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_tradeoff(args: argparse.Namespace) -> int:
-    for line in emit_tradeoff_csv(
+    lines = list(emit_tradeoff_csv(
         _parse_range(args.d), _parse_range(args.ell), _parse_schemes(args.scheme)
-    ):
-        print(line)
+    ))
+    if len(lines) == 1:
+        raise ValueError("no (scheme, d, ell) in the request is valid; the table is empty")
+    print("\n".join(lines))
     return 0
 
 
@@ -157,11 +173,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     if args.d < 1:
         raise ValueError(f"d must be positive, got d={args.d}")
-    allowed = ell_range(scheme, args.d)
-    if args.ell not in allowed:
-        raise ValueError(
-            f"{scheme.value} at d={args.d} requires 0 <= ell <= {allowed[-1]}, got ell={args.ell}"
-        )
+    _check_ell(scheme, args.d, args.ell)
     modes = sorted(pareto_points_bruteforce(args.d, args.ell, scheme))
     print(f"pareto modes for d={args.d}, ell={args.ell}, {scheme.value}: "
           + (",".join(map(str, modes)) or "-"))

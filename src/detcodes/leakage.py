@@ -61,9 +61,19 @@ def cell_maps(layout: MessageLayout) -> np.ndarray:
     return T
 
 
-def _split(rows: np.ndarray, layout: MessageLayout, q: int) -> LinearObservation:
+def _node_set(L: Iterable[int], params: SystemParams) -> list[int]:
+    """The distinct nodes of L in increasing order, each checked to lie in [1, n]."""
+    nodes = sorted(set(L))
+    if any(not 1 <= i <= params.n for i in nodes):
+        raise ValueError(f"node set {nodes} not within [1, {params.n}]")
+    return nodes
+
+
+def _observation(blocks: list[np.ndarray], layout: MessageLayout, width: int) -> LinearObservation:
+    """The view whose rows are the stacked blocks, split at the key slots."""
+    rows = np.vstack(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
     fs = layout.secret_count
-    return LinearObservation(q, rows[:, :fs], rows[:, fs:])
+    return LinearObservation(layout.sparams.base.q, rows[:, :fs], rows[:, fs:])
 
 
 def observe_node_contents(
@@ -74,19 +84,11 @@ def observe_node_contents(
 ) -> LinearObservation:
     """Type-I view: the stored contents of every node in L."""
     params = layout.sparams.base
-    q = params.q
+    nodes = _node_set(L, params)
     if maps is None:
         maps = cell_maps(layout)
-    nodes = sorted(set(L))
-    if any(not 1 <= i <= params.n for i in nodes):
-        raise ValueError(f"node set {nodes} not within [1, {params.n}]")
-    blocks = [np.tensordot(psi.a[i - 1], maps, axes=1) % q for i in nodes]
-    rows = (
-        np.vstack(blocks)
-        if blocks
-        else np.zeros((0, maps.shape[2]), dtype=np.int64)
-    )
-    return _split(rows, layout, q)
+    blocks = [np.tensordot(psi.a[i - 1], maps, axes=1) % params.q for i in nodes]
+    return _observation(blocks, layout, maps.shape[2])
 
 
 def observe_repair_traffic(
@@ -98,11 +100,9 @@ def observe_repair_traffic(
     """Type-II view: all repair data flowing into every node in L."""
     params = layout.sparams.base
     q = params.q
+    nodes = _node_set(L, params)
     if maps is None:
         maps = cell_maps(layout)
-    nodes = sorted(set(L))
-    if any(not 1 <= i <= params.n for i in nodes):
-        raise ValueError(f"node set {nodes} not within [1, {params.n}]")
     node_maps = {
         h: np.tensordot(psi.a[h - 1], maps, axes=1) % q for h in range(1, params.n + 1)
     }
@@ -112,12 +112,7 @@ def observe_repair_traffic(
         for h in range(1, params.n + 1):
             if h != f:
                 blocks.append(xi_t @ node_maps[h] % q)
-    rows = (
-        np.vstack(blocks)
-        if blocks
-        else np.zeros((0, maps.shape[2]), dtype=np.int64)
-    )
-    return _split(rows, layout, q)
+    return _observation(blocks, layout, maps.shape[2])
 
 
 def reduced_traffic_rows(
@@ -168,6 +163,20 @@ def mutual_information(obs: LinearObservation) -> int:
 # -- key decoders (constructive counterparts of the rank statements) -----------
 
 
+def _decoder_inputs(
+    L: Iterable[int], secrets: Sequence[int] | np.ndarray, layout: MessageLayout, role: str
+) -> tuple[list[int], np.ndarray]:
+    """The sorted nodes of L, exactly ell of them, and the secrets reduced mod q."""
+    ell = layout.sparams.ell
+    nodes = sorted(set(L))
+    if len(nodes) != ell:
+        raise ValueError(f"need exactly ell={ell} {role} nodes, got {nodes}")
+    secrets = np.asarray(secrets, dtype=np.int64) % layout.sparams.base.q
+    if secrets.shape != (layout.secret_count,):
+        raise ValueError(f"expected {layout.secret_count} secrets")
+    return nodes, secrets
+
+
 def decode_keys_type_i(
     observed: GFMatrix | np.ndarray,
     secrets: Sequence[int] | np.ndarray,
@@ -187,15 +196,10 @@ def decode_keys_type_i(
     ell = sp.ell
     if sp.scheme is Scheme.TYPE_II and ell != 0:
         raise ValueError("decode_keys_type_i expects a Type-I (or plain) layout")
-    nodes = sorted(set(L))
-    if len(nodes) != ell:
-        raise ValueError(f"need exactly ell={ell} observed nodes, got {nodes}")
+    nodes, secrets = _decoder_inputs(L, secrets, layout, "observed")
     E = observed.a if isinstance(observed, GFMatrix) else np.asarray(observed, dtype=np.int64)
     if E.shape != (ell, params.alpha):
         raise ValueError(f"observed matrix must be {ell} x {params.alpha}, got {E.shape}")
-    secrets = np.asarray(secrets, dtype=np.int64) % params.q
-    if secrets.shape != (layout.secret_count,):
-        raise ValueError(f"expected {layout.secret_count} secrets")
 
     q = params.q
     unknown_keys = np.zeros(layout.key_count, dtype=np.int64)
@@ -261,12 +265,7 @@ def decode_keys_type_ii(
     ell = sp.ell
     if sp.scheme is Scheme.TYPE_I and ell != 0:
         raise ValueError("decode_keys_type_ii expects a Type-II (or plain) layout")
-    nodes = sorted(set(L))
-    if len(nodes) != ell:
-        raise ValueError(f"need exactly ell={ell} compromised nodes, got {nodes}")
-    secrets = np.asarray(secrets, dtype=np.int64) % params.q
-    if secrets.shape != (layout.secret_count,):
-        raise ValueError(f"expected {layout.secret_count} secrets")
+    nodes, secrets = _decoder_inputs(L, secrets, layout, "compromised")
     if ell == 0:
         return np.zeros(0, dtype=np.int64)
     if params.n < params.d + 1:
@@ -392,8 +391,7 @@ def xi_top_fullrank(
     ell = len(nodes)
     if ell > params.d:
         raise ValueError(f"|L| = {ell} exceeds d = {params.d}")
-    if any(not 1 <= i <= params.n for i in nodes):
-        raise ValueError(f"node set {nodes} not within [1, {params.n}]")
+    _node_set(nodes, params)
     xi = GFMatrix(
         params.q, np.hstack([repair_encoder(f, psi, params).a for f in nodes])
     )
@@ -504,36 +502,23 @@ def audit_sweep(
         )
     cap = sp.ell if max_set_size is None else max_set_size
     maps = cell_maps(layout)
-    rows: list[AuditRow] = []
-    type_ii = sp.scheme is Scheme.TYPE_II
-    if type_ii:
-        # Views are built key first, [M_Q | M_S], the order they are
-        # eliminated in, so each set's stack goes to the kernel as is.
-        fs, nk = layout.secret_count, layout.key_count
+    fs, nk = layout.secret_count, layout.key_count
+    # Each node's view is built once per sweep, key first ([M_Q | M_S], the
+    # order it is eliminated in), so each set's stack goes to the kernel as is.
+    nodes = range(1, params.n + 1)
+    if sp.scheme is Scheme.TYPE_II:
         key_first_maps = np.concatenate([maps[..., fs:], maps[..., :fs]], axis=2)
-        traffic = {
-            f: reduced_traffic_rows(f, psi, params, key_first_maps)
-            for f in range(1, params.n + 1)
-        }
+        views = [reduced_traffic_rows(f, psi, params, key_first_maps) for f in nodes]
+    else:
+        contents = (observe_node_contents([f], psi, layout, maps=maps) for f in nodes)
+        views = [np.hstack([obs.key_map, obs.secret_map]) for obs in contents]
+    rows: list[AuditRow] = []
     for size in range(1, cap + 1):
-        for L in combinations(range(1, params.n + 1), size):
-            if type_ii:
-                stacked = np.vstack([traffic[f] for f in L])
-                obs = LinearObservation(params.q, stacked[:, nk:], stacked[:, :nk])
-                entropy, key_rank = observation_ranks(obs, key_first=stacked)
-            else:
-                obs = observe_node_contents(L, psi, layout, maps=maps)
-                entropy, key_rank = observation_ranks(obs)
-            rows.append(
-                AuditRow(
-                    sp.scheme,
-                    L,
-                    entropy,
-                    entropy - key_rank,
-                    key_rank == layout.key_count,
-                    layout.key_count,
-                )
-            )
+        for L in combinations(nodes, size):
+            stacked = np.vstack([views[f - 1] for f in L])
+            obs = LinearObservation(params.q, stacked[:, nk:], stacked[:, :nk])
+            entropy, key_rank = observation_ranks(obs, key_first=stacked)
+            rows.append(AuditRow(sp.scheme, L, entropy, entropy - key_rank, key_rank == nk, nk))
     return rows
 
 

@@ -38,6 +38,15 @@ def ell_range(scheme: Scheme, d: int) -> range:
     return range({Scheme.PLAIN: 1, Scheme.TYPE_I: d, Scheme.TYPE_II: d + 1}[scheme])
 
 
+def _check_ell(scheme: Scheme, d: int, ell: int) -> None:
+    """Reject a budget ell outside `ell_range(scheme, d)`, for d >= 1."""
+    allowed = ell_range(scheme, d)
+    if ell not in allowed:
+        raise ValueError(
+            f"{scheme.value} at d={d} requires 0 <= ell <= {allowed[-1]}, got ell={ell}"
+        )
+
+
 def secret_capacity(d: int, ell: int, m: int, scheme: Scheme) -> int:
     """Number of secret symbols per message matrix (F, F_s,I or F_s,II)."""
     if scheme is Scheme.PLAIN or ell == 0:
@@ -62,12 +71,7 @@ class SecureParams:
 
     def __post_init__(self) -> None:
         d = self.base.d
-        allowed = ell_range(self.scheme, d)
-        if self.ell not in allowed:
-            raise ValueError(
-                f"{self.scheme.value} at d={d} requires 0 <= ell <= {allowed[-1]}, "
-                f"got ell={self.ell}"
-            )
+        _check_ell(self.scheme, d, self.ell)
         if (
             self.scheme is Scheme.TYPE_II
             and self.ell > 0

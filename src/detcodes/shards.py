@@ -20,7 +20,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -298,13 +298,13 @@ class StripedCodec:
 
     Stripes are independent, so each file operation is one loop over
     blocks of `block_stripes` stripes, each block one batch: it reads the
-    block's input (file bytes or shard payloads), computes, and hands the
-    block's output on.  Work that depends only on the code or the node set
-    is done once per file, before the loop.  The same loop serves the
-    in-memory calls (`encode_file`, `recover_file`, `repair_shard`), which
-    collect the blocks into one output, and the streaming ones
-    (`encode_to`, `recover_to`, `repair_to`), which write each block to
-    its files as it comes, so their memory does not grow with the file.
+    block's input (file bytes or shard payloads), computes, and writes the
+    block's output to the binary files it is given.  Work that depends only
+    on the code or the node set is done once per file, before the loop.
+    The streaming calls (`encode_to`, `recover_to`, `repair_to`) give it
+    temp files beside their outputs, so their memory does not grow with
+    the file; the in-memory ones (`encode_file`, `recover_file`,
+    `repair_shard`) give it `io.BytesIO` buffers.
     Batches are cell-major: a (d, stripes, alpha) array, handed around as
     its (stripes, d, alpha) transposed view, so that every product over
     GF(q) is one 2-D float64 GEMM (`_mat`) and row i of a codeword batch is
@@ -363,23 +363,25 @@ class StripedCodec:
             raise ShardFormatError("payload length is not a whole number of stripes")
         return stripes
 
-    def _blocks(self, stripes: int) -> Iterator[slice]:
-        """The stripe ranges of consecutive blocks, the last one short."""
+    def _blocks(self, stripes: int) -> Iterator[int]:
+        """The stripe counts of consecutive blocks, the last one short."""
         step = self.block_stripes
-        return (slice(lo, min(lo + step, stripes)) for lo in range(0, stripes, step))
+        return (min(step, stripes - lo) for lo in range(0, stripes, step))
 
     def _payload_blocks(
         self, shards: Sequence[Shard | ShardFile], stripes: int
-    ) -> Iterator[tuple[slice, np.ndarray]]:
+    ) -> Iterator[np.ndarray]:
         """Each block's payload rows of ``shards``, (len(shards), b, alpha);
         the array is reused for the next block."""
         alpha = self.params.alpha
         buf = np.empty((len(shards), min(self.block_stripes, stripes), alpha), dtype="<u2")
-        for s in self._blocks(stripes):
-            block = buf[:, : s.stop - s.start]
+        start = 0
+        for b in self._blocks(stripes):
+            block = buf[:, :b]
             for shard, rows in zip(shards, block):
-                shard.read_payload(s.start * alpha, rows)
-            yield s, block
+                shard.read_payload(start * alpha, rows)
+            start += b
+            yield block
 
     # -- batched message algebra -------------------------------------------
 
@@ -413,13 +415,19 @@ class StripedCodec:
         cells = rows.reshape(len(decoder), b, alpha).transpose(1, 0, 2)
         return _mod(cells[:, local, self.layout.secret_index[1]], self.q).astype(np.uint16)
 
-    # -- the block loops ---------------------------------------------------
+    # -- the codec ops: each writes its output to the files it is given -------
 
     def _encode(
-        self, readinto: Callable[[memoryview], int], length: int, seed: int, seed_present: bool
-    ) -> tuple[list[ShardHeader], Iterator[tuple[slice, np.ndarray]]]:
-        """The n shard headers of a ``length``-byte input, and its codewords
-        block by block, (n, b, alpha) each; ``readinto`` reads the input."""
+        self,
+        readinto: Callable[[memoryview], int],
+        length: int,
+        seed: int,
+        seed_present: bool,
+        outs: Sequence[BinaryIO],
+    ) -> list[ShardHeader]:
+        """Encode a ``length``-byte input, read with ``readinto``: write shard
+        i's header, then its rows of every block, to ``outs[i - 1]``, and
+        return the n headers."""
         params, q = self.params, self.q
         per, nk, w = self.symbols_per_stripe, self.layout.key_count, symbol_width(q)
         packed = -(-8 * length // w)
@@ -444,30 +452,31 @@ class StripedCodec:
             )
             for node in range(1, params.n + 1)
         ]
+        for out, header in zip(outs, headers):
+            out.write(header.to_bytes())
+        buf = bytearray(self.block_stripes * per * w // 8)
+        done = 0
+        for b in self._blocks(stripes):
+            view = memoryview(buf)[: min(b * per * w // 8, length - done)]
+            got = readinto(view)
+            if got != len(view):
+                raise ValueError(f"input ended after {done + got} of {length} bytes")
+            done += got
+            secrets = np.zeros((b, per), dtype=np.uint16)
+            syms = pack_bytes(view, q)
+            secrets.reshape(-1)[: len(syms)] = syms
+            keys = stream.draw(b * nk).reshape(b, nk) if nk else np.zeros((b, 0), np.uint16)
+            # Row i of the codeword batch is shard i + 1's payload.
+            cb = self.encode_batch(self.assemble_batch(secrets, keys)).transpose(1, 0, 2)
+            for out, rows in zip(outs, cb.astype("<u2", copy=False)):
+                out.write(rows)
+        if readinto(memoryview(bytearray(1))):
+            raise ValueError(f"input is longer than {length} bytes")
+        return headers
 
-        def blocks() -> Iterator[tuple[slice, np.ndarray]]:
-            buf = bytearray(self.block_stripes * per * w // 8)
-            done = 0
-            for s in self._blocks(stripes):
-                b = s.stop - s.start
-                view = memoryview(buf)[: min(b * per * w // 8, length - done)]
-                got = readinto(view)
-                if got != len(view):
-                    raise ValueError(f"input ended after {done + got} of {length} bytes")
-                done += got
-                secrets = np.zeros((b, per), dtype=np.uint16)
-                syms = pack_bytes(view, q)
-                secrets.reshape(-1)[: len(syms)] = syms
-                keys = stream.draw(b * nk).reshape(b, nk) if nk else np.zeros((b, 0), np.uint16)
-                yield s, self.encode_batch(self.assemble_batch(secrets, keys)).transpose(1, 0, 2)
-            if readinto(memoryview(bytearray(1))):
-                raise ValueError(f"input is longer than {length} bytes")
-
-        return headers, blocks()
-
-    def _recover(self, shards: Sequence[Shard | ShardFile]) -> tuple[int, Iterator[bytes]]:
-        """The file length, and its bytes block by block, from the first d
-        distinct nodes of ``shards``."""
+    def _recover(self, shards: Sequence[Shard | ShardFile], out: BinaryIO) -> int:
+        """Write the file, block by block, to ``out`` from the first d
+        distinct nodes of ``shards``; return its length."""
         params, q = self.params, self.q
         seen: dict[int, Shard | ShardFile] = {}
         for s in shards:
@@ -486,23 +495,18 @@ class StripedCodec:
         if packed * w < 8 * head.original_length:
             raise ShardFormatError("not enough symbols for the recorded file length")
         ids = [s.header.node_id for s in chosen]
+        left = head.original_length
+        for block in self._payload_blocks(chosen, stripes):
+            secrets = self.recover_batch(ids, block.transpose(1, 0, 2)).reshape(-1)
+            size = min(left, len(secrets) * w // 8)
+            left -= size
+            out.write(unpack_bytes(secrets, q, size))
+        return head.original_length
 
-        def blocks() -> Iterator[bytes]:
-            left = head.original_length
-            for _, block in self._payload_blocks(chosen, stripes):
-                secrets = self.recover_batch(ids, block.transpose(1, 0, 2)).reshape(-1)
-                size = min(left, len(secrets) * w // 8)
-                left -= size
-                yield unpack_bytes(secrets, q, size)
-
-        return head.original_length, blocks()
-
-    def _repair(
-        self, failed: int, helpers: Sequence[Shard | ShardFile]
-    ) -> tuple[ShardHeader, int, Iterator[tuple[slice, np.ndarray]]]:
-        """The header of shard ``failed``, the repair bandwidth in symbols
-        (stripes x d helpers x beta independent symbols each), and the
-        shard's payload block by block, (b, alpha) each, from d helpers."""
+    def _repair(self, failed: int, helpers: Sequence[Shard | ShardFile], out: BinaryIO) -> int:
+        """Write shard ``failed``, its header and then its rows of every
+        block, to ``out`` from d helpers; return the repair bandwidth in
+        symbols (stripes x d helpers x beta independent symbols each)."""
         params = self.params
         if not 1 <= failed <= params.n:
             raise ValueError(f"node id {failed} out of range [1, {params.n}]")
@@ -518,32 +522,27 @@ class StripedCodec:
         xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
         psi_h = self.psi.submatrix(sorted(i - 1 for i in ids), range(d))
         psi_h_inv = psi_h.inv().a.astype(np.float64)
-
-        def blocks() -> Iterator[tuple[slice, np.ndarray]]:
-            for s, block in self._payload_blocks(helpers, stripes):
-                payloads = _mod(_mat(block.reshape(-1, alpha), xi), self.q)
-                # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
-                # signed sums of `recombine` cannot overflow int64.
-                mxi = _mat(psi_h_inv, payloads.reshape(d, -1)).astype(np.int64)
-                yield s, recombine(mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2), params)
-
-        return header, stripes * d * params.beta, blocks()
+        out.write(header.to_bytes())
+        for block in self._payload_blocks(helpers, stripes):
+            payloads = _mod(_mat(block.reshape(-1, alpha), xi), self.q)
+            # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
+            # signed sums of `recombine` cannot overflow int64.
+            mxi = _mat(psi_h_inv, payloads.reshape(d, -1)).astype(np.int64)
+            rows = recombine(mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2), params)
+            out.write(np.ascontiguousarray(rows, dtype="<u2"))
+        return stripes * d * params.beta
 
     # -- in memory -----------------------------------------------------------
 
     def encode_file(self, data: bytes, seed: int, seed_present: bool) -> list[Shard]:
-        headers, blocks = self._encode(io.BytesIO(data).readinto, len(data), seed, seed_present)
-        params = self.params
-        stripes = headers[0].payload_symbols // params.alpha
-        # Row i of cb is shard i + 1's payload.
-        cb = np.empty((params.n, stripes, params.alpha), dtype=np.uint16)
-        for s, block in blocks:
-            cb[:, s] = block
-        return [Shard(h, rows.reshape(-1)) for h, rows in zip(headers, cb)]
+        bufs = [io.BytesIO() for _ in range(self.params.n)]
+        self._encode(io.BytesIO(data).readinto, len(data), seed, seed_present, bufs)
+        return [Shard.from_bytes(buf.getvalue()) for buf in bufs]
 
     def recover_file(self, shards: Sequence[Shard]) -> bytes:
-        _, blocks = self._recover(shards)
-        return b"".join(blocks)
+        buf = io.BytesIO()
+        self._recover(shards, buf)
+        return buf.getvalue()
 
     def repair_shard(self, failed: int, helpers: Sequence[Shard]) -> tuple[Shard, int]:
         """Regenerate shard ``failed`` from d helper shards.
@@ -551,11 +550,9 @@ class StripedCodec:
         Returns the rebuilt shard and the repair bandwidth in symbols
         (stripes x d helpers x beta independent symbols each).
         """
-        header, bandwidth, blocks = self._repair(failed, helpers)
-        vals = np.empty((header.payload_symbols // self.params.alpha, self.params.alpha), np.uint16)
-        for s, rows in blocks:
-            vals[s] = rows
-        return Shard(header, vals.reshape(-1)), bandwidth
+        buf = io.BytesIO()
+        bandwidth = self._repair(failed, helpers, buf)
+        return Shard.from_bytes(buf.getvalue()), bandwidth
 
     # -- streaming to files --------------------------------------------------
 
@@ -569,42 +566,30 @@ class StripedCodec:
             st = os.fstat(fh.fileno())
             if not stat.S_ISREG(st.st_mode):
                 raise ValueError(f"{source} is not a regular file")
-            headers, blocks = self._encode(fh.readinto, st.st_size, seed, seed_present)
             made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
+            paths = [out_dir / f"shard_{i:03d}.detc" for i in range(1, self.params.n + 1)]
             try:
-                with _replacing([out_dir / f"shard_{h.node_id:03d}.detc" for h in headers]) as files:
-                    for f, h in zip(files, headers):
-                        f.write(h.to_bytes())
-                    for _, block in blocks:
-                        for f, rows in zip(files, block.astype("<u2", copy=False)):
-                            f.write(rows)
+                with _replacing(paths) as files:
+                    return self._encode(fh.readinto, st.st_size, seed, seed_present, files)
             except BaseException:
                 for p in made:
                     with contextlib.suppress(OSError):
                         p.rmdir()
                 raise
-        return headers
 
     def recover_to(self, shards: Sequence[Shard | ShardFile], out: str | Path) -> int:
         """Recover the file into ``out``, one block at a time; return its length."""
-        length, blocks = self._recover(shards)
         with _replacing([Path(out)]) as (fh,):
-            for chunk in blocks:
-                fh.write(chunk)
-        return length
+            return self._recover(shards, fh)
 
     def repair_to(
         self, failed: int, helpers: Sequence[Shard | ShardFile], out: str | Path
     ) -> int:
         """Write shard ``failed`` to ``out``, one block at a time; return the
         repair bandwidth in symbols."""
-        header, bandwidth, blocks = self._repair(failed, helpers)
         with _replacing([Path(out)]) as (fh,):
-            fh.write(header.to_bytes())
-            for _, rows in blocks:
-                fh.write(np.ascontiguousarray(rows, dtype="<u2"))
-        return bandwidth
+            return self._repair(failed, helpers, fh)
 
 
 # Exact GF(q) products in float64.  Operands hold residues below q < 2^16

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from detcodes import leakage
 from detcodes.code import (
     repair_encoder,
     system,
@@ -382,6 +383,25 @@ def test_audit_sweep_and_pass():
     assert all(r.leaked == 0 for r in rows)
     csv = rows[0].as_csv()
     assert csv.startswith("type1,")
+
+
+@pytest.mark.parametrize(
+    "scheme,builder",
+    [(Scheme.TYPE_I, "observe_node_contents"), (Scheme.TYPE_II, "reduced_traffic_rows")],
+)
+def test_audit_sweep_builds_each_node_view_once(monkeypatch, scheme, builder):
+    ps, lay, psi, *_ = make_instance(7, 5, 2, 2, scheme)
+    expected = audit_sweep(lay, psi)
+    original = getattr(leakage, builder)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(leakage, builder, counted)
+    assert audit_sweep(lay, psi) == expected
+    assert len(expected) == 7 + 21 and len(calls) == 7
 
 
 @pytest.mark.parametrize("cap", [-1, 0, 8])

@@ -436,7 +436,7 @@ def _data_for_stripes(codec, stripes, seed=0):
 
 @pytest.mark.parametrize("name", list(BLOCK_CODES))
 @pytest.mark.parametrize("shape", ["1", "B-1", "B", "B+1", "2B+1"])
-def test_block_loop_matches_one_batch(name, shape):
+def test_block_loop_matches_one_batch(tmp_path, name, shape):
     codec = _block_codec(name)
     B = codec.block_stripes
     stripes = {"1": 1, "B-1": max(1, B - 1), "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[shape]
@@ -468,6 +468,21 @@ def test_block_loop_matches_one_batch(name, shape):
         rebuilt, bandwidth = codec.repair_shard(failed, helpers)
         assert rebuilt.to_bytes() == shards[failed - 1].to_bytes()
         assert bandwidth == stripes * params.d * params.beta
+
+    # The streaming calls write the same bytes as the in-memory ones.
+    source = tmp_path / "in.bin"
+    source.write_bytes(data)
+    headers = codec.encode_to(source, tmp_path / "s", seed=9, seed_present=True)
+    assert headers == [shard.header for shard in shards]
+    files = [tmp_path / "s" / f"shard_{i:03d}.detc" for i in range(1, params.n + 1)]
+    assert [f.read_bytes() for f in files] == [shard.to_bytes() for shard in shards]
+    assert codec.recover_to([shards[i - 1] for i in readers], tmp_path / "out.bin") == len(data)
+    assert (tmp_path / "out.bin").read_bytes() == data
+    for failed in (1, params.n):
+        helpers = [s for s in shards if s.header.node_id != failed][: params.d]
+        out = tmp_path / f"rebuilt_{failed}.detc"
+        assert codec.repair_to(failed, helpers, out) == stripes * params.d * params.beta
+        assert out.read_bytes() == shards[failed - 1].to_bytes()
 
 
 def test_block_loop_empty_payload_header():
@@ -716,6 +731,22 @@ def test_cli_pareto_rejects_invalid_budget_before_printing(capsys, d, ell, schem
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "d,ell,scheme", [("5", "9", "type1"), ("0", "0", "plain,type1,type2"), ("3", "1", "plain")]
+)
+def test_cli_tradeoff_without_valid_pairs_fails(capsys, d, ell, scheme):
+    assert run_cli("tradeoff", "--d", d, "--ell", ell, "--scheme", scheme) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no (scheme, d, ell)")
+
+
+def test_cli_tradeoff_prints_only_the_valid_pairs(capsys):
+    assert run_cli("tradeoff", "--d", "5", "--ell", "3..9", "--scheme", "type1") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["3"] * 5 + ["4"] * 5
+
+
 def test_cli_invalid_params_exit_code(tmp_path):
     inp = tmp_path / "x"
     inp.write_bytes(b"x")
@@ -801,6 +832,25 @@ def test_cli_hostile_header_rejected_quickly(tmp_path, capsys, n, d, m, q):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith("error: ") and f"limit is {MAX_TABLE_CELLS}" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", 16, "--d", 14, "--m", 7, "--scheme", "type1", "--ell", 2),
+        ("--n", 60, "--d", 50, "--m", 25),
+    ],
+    ids=["cell-maps", "fill-order"],
+)
+def test_cli_audit_oversized_code_rejected_quickly(capsys, flags):
+    # d*C(d,m)*F cells: 2.2e9 int64 entries (16 GiB) at (16,14,7), and
+    # C(50,25) = 1.3e14 fill-order cells at (60,50,25).
+    start = time.perf_counter()
+    assert run_cli("audit", *flags) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "audit limit is 16777216" in err
 
 
 @pytest.mark.parametrize("command", ["recover", "repair"])
