@@ -18,7 +18,6 @@ from .code import (
     SystemParams,
     encode,
     multi_repair_rank,
-    parity_holds,
     recover_message,
     repair_encoder,
     repair_node,
@@ -33,7 +32,6 @@ from .secure import (
     SecureParams,
     assemble,
     build_layout,
-    extract_keys,
     extract_secrets,
     key_count,
     secret_capacity,

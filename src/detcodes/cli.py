@@ -12,8 +12,7 @@ import contextlib
 import os
 import sys
 
-from .gf import Field, smallest_prime_gt
-from .code import SystemParams, vandermonde_encoder
+from .code import system, vandermonde_encoder
 from .secure import Scheme, SecureParams, _check_ell, build_layout
 from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_sweep
 from .shards import ShardFile, StripedCodec, codec_for_headers
@@ -37,8 +36,7 @@ def _parse_schemes(text: str) -> list[Scheme]:
 
 
 def _secure_params(args: argparse.Namespace) -> SecureParams:
-    q = args.q if args.q is not None else smallest_prime_gt(args.n)
-    base = SystemParams(args.n, args.d, args.m, Field(q))
+    base = system(args.n, args.d, args.m, args.q)
     return SecureParams(base, args.ell, Scheme(args.scheme))
 
 

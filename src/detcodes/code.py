@@ -187,11 +187,6 @@ def recombine(mxi: np.ndarray, params: SystemParams) -> np.ndarray:
     return params.repair_table.sums(mxi, params.q)
 
 
-def parity_holds(M: GFMatrix, params: SystemParams) -> bool:
-    (rows, cols), partners = params.parity_table
-    return np.array_equal(M.a[rows, cols], partners.sums(M.a, params.q))
-
-
 # -- encoding and recovery ---------------------------------------------------
 
 

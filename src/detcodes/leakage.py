@@ -21,17 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .code import (
-    SystemParams,
-    close_parity,
-    packet_support_basis,
-    parity_holds,
-    repair_encoder,
-    repair_node,
-    RepairPacket,
-)
+from .code import SystemParams, close_parity, packet_support_basis, repair_encoder
 from .gfmatrix import GFMatrix, echelon_pivots, rank_of
-from .secure import MessageLayout, Scheme, extract_keys, place
+from .secure import MessageLayout, Scheme, place
 from .subsets import Subset, binom
 
 
@@ -160,7 +152,18 @@ def mutual_information(obs: LinearObservation) -> int:
     return total - key_rank
 
 
-# -- key decoders (constructive counterparts of the rank statements) -----------
+# -- key decoders: the view of L and the secrets determine every key ------------
+
+
+def _symbols(values: object, shape: tuple[int, ...], what: str, q: int) -> np.ndarray:
+    """Observed symbols or secrets as int64 residues mod q, checked to be of
+    an integer dtype (as `Shard` checks its payload) and of the given shape."""
+    a = values.a if isinstance(values, GFMatrix) else np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integer symbols, got {a.dtype}")
+    if a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    return a.astype(np.int64) % q
 
 
 def _decoder_inputs(
@@ -171,10 +174,28 @@ def _decoder_inputs(
     nodes = sorted(set(L))
     if len(nodes) != ell:
         raise ValueError(f"need exactly ell={ell} {role} nodes, got {nodes}")
-    secrets = np.asarray(secrets, dtype=np.int64) % layout.sparams.base.q
-    if secrets.shape != (layout.secret_count,):
-        raise ValueError(f"expected {layout.secret_count} secrets")
-    return nodes, secrets
+    return nodes, _symbols(secrets, (layout.secret_count,), "secrets", layout.sparams.base.q)
+
+
+def _solve_keys(
+    obs: LinearObservation, observed: np.ndarray, secrets: np.ndarray
+) -> np.ndarray:
+    """The keys Q with M_Q @ Q = observed - M_S @ secrets, in key-slot order.
+
+    One rref of [M_Q | rhs] decides it: fewer than |Q| pivots in the key
+    block mean the view does not determine the keys, and a pivot in the
+    rhs column means no keys explain the observed symbols.
+    """
+    q, nk = obs.q, obs.key_map.shape[1]
+    rhs = (observed - obs.secret_map @ secrets) % q
+    echelon, pivots = GFMatrix(q, np.column_stack([obs.key_map, rhs])).rref()
+    if sum(1 for p in pivots if p < nk) < nk:
+        raise ValueError("the observed view does not determine every key")
+    if nk in pivots:
+        raise InconsistentObservationError(
+            "observed symbols do not match any key assignment for these secrets"
+        )
+    return np.array(echelon.a[:nk, nk])
 
 
 def decode_keys_type_i(
@@ -186,44 +207,15 @@ def decode_keys_type_i(
 ) -> np.ndarray:
     """Recover every key from the secrets plus the contents of |L| = ell nodes.
 
-    Rebuilds the message matrix column by column from right to left: in
-    each column the bottom rows are secrets or parities of already-decoded
-    columns, and the top ell rows then follow by inverting the leading
-    ell x ell block of Psi on the observed rows.
+    Row k of ``observed`` is the stored row of the k-th node of L in
+    increasing order; the keys solve the contents view of L.
     """
     sp = layout.sparams
-    params = sp.base
-    ell = sp.ell
-    if sp.scheme is Scheme.TYPE_II and ell != 0:
+    if sp.scheme is Scheme.TYPE_II and sp.ell != 0:
         raise ValueError("decode_keys_type_i expects a Type-I (or plain) layout")
     nodes, secrets = _decoder_inputs(L, secrets, layout, "observed")
-    E = observed.a if isinstance(observed, GFMatrix) else np.asarray(observed, dtype=np.int64)
-    if E.shape != (ell, params.alpha):
-        raise ValueError(f"observed matrix must be {ell} x {params.alpha}, got {E.shape}")
-
-    q = params.q
-    unknown_keys = np.zeros(layout.key_count, dtype=np.int64)
-    arr = place(np.zeros((params.d, params.alpha), dtype=np.int64), layout, secrets, unknown_keys)
-    # Groups are sorted by the column of their P cell, whose partners all
-    # lie in later columns.
-    (_, group_cols), _ = params.parity_table
-    bounds = np.searchsorted(group_cols, np.arange(params.alpha + 1))
-    if ell > 0:
-        psi_top = psi.submatrix([i - 1 for i in nodes], range(ell))
-        inv_top = psi_top.inv().a
-        psi_rest = psi.submatrix([i - 1 for i in nodes], range(ell, params.d)).a
-    for c in range(params.alpha - 1, -1, -1):
-        close_parity(arr, params, slice(bounds[c], bounds[c + 1]))
-        if ell > 0:
-            low = arr[ell:, c]
-            arr[:ell, c] = inv_top @ ((E[:, c] - psi_rest @ low) % q) % q
-    M = GFMatrix(q, arr)
-    # Psi_L @ M == E holds by construction (no solved cell is rewritten).
-    if not parity_holds(M, params):
-        raise InconsistentObservationError(
-            "observed contents do not match any key assignment for these secrets"
-        )
-    return extract_keys(M, layout)
+    E = _symbols(observed, (sp.ell, sp.base.alpha), "observed contents", sp.base.q)
+    return _solve_keys(observe_node_contents(nodes, psi, layout), E.reshape(-1), secrets)
 
 
 def _left_column_count(params: SystemParams, ell: int) -> int:
@@ -254,102 +246,27 @@ def decode_keys_type_ii(
     """Recover every key from the secrets plus all repair traffic into L.
 
     ``packets[(h, f)]`` is the payload sent from helper h to failed node f,
-    required for every f in L and h in [n] minus f.  The bottom-right
-    block D is rebuilt from the secrets alone, the bottom-left block C is
-    solved through the square full-rank block of the stacked repair
-    encoders, and the top blocks follow from the reconstructed contents
-    of the compromised nodes.
+    required for every f in L and h in [n] minus f; the keys solve the
+    repair-traffic view of L.
     """
     sp = layout.sparams
     params = sp.base
-    ell = sp.ell
-    if sp.scheme is Scheme.TYPE_I and ell != 0:
+    if sp.scheme is Scheme.TYPE_I and sp.ell != 0:
         raise ValueError("decode_keys_type_ii expects a Type-II (or plain) layout")
     nodes, secrets = _decoder_inputs(L, secrets, layout, "compromised")
-    if ell == 0:
-        return np.zeros(0, dtype=np.int64)
-    if params.n < params.d + 1:
-        raise ValueError("reconstructing a compromised node needs n >= d + 1")
-    missing = [
-        (h, f)
-        for f in nodes
-        for h in range(1, params.n + 1)
-        if h != f and (h, f) not in packets
-    ]
+    pairs = [(h, f) for f in nodes for h in range(1, params.n + 1) if h != f]
+    missing = [pair for pair in pairs if pair not in packets]
     if missing:
         raise ValueError(f"missing repair packets for pairs {missing[:4]}")
-
-    q, d = params.q, params.d
-    t = _left_column_count(params, ell)
-    c = len(params.repair_columns)
-
-    # Block D (rows > ell, columns inside [ell+1:d]) from the secrets: its
-    # parity cells depend on secrets only, and every cell outside D is
-    # overwritten below, so the unknown keys are placed as zeros.
-    unknown_keys = np.zeros(layout.key_count, dtype=np.int64)
-    arr = np.zeros((d, params.alpha), dtype=np.int64)
-    close_parity(place(arr, layout, secrets, unknown_keys), params)
-    D = arr[ell:, t:]
-
-    # Contents of the compromised nodes, each repaired from d helpers.
-    E_rows = []
-    for f in nodes:
-        helpers = [h for h in range(1, params.n + 1) if h != f][: d]
-        pkts = [RepairPacket(h, f, packets[(h, f)]) for h in helpers]
-        E_rows.append(repair_node(f, pkts, psi, params).values)
-    E = np.stack(E_rows) % q
-
-    # M @ Xi^L via any d helper rows; rows h in L use the rebuilt contents.
-    xis = [repair_encoder(f, psi, params) for f in nodes]
-
-    def payload(h: int, f_idx: int) -> np.ndarray:
-        f = nodes[f_idx]
-        if h == f:
-            return E[f_idx] @ xis[f_idx].a % q
-        return np.asarray(packets[(h, f)], dtype=np.int64) % q
-
-    H = list(range(1, d + 1))
-    X = np.stack(
-        [np.concatenate([payload(h, k) for k in range(ell)]) for h in H]
+    shape = (len(params.repair_columns),)
+    observed = [
+        _symbols(packets[(h, f)], shape, f"packet ({h} -> {f})", params.q) for h, f in pairs
+    ]
+    return _solve_keys(
+        observe_repair_traffic(nodes, psi, layout),
+        np.concatenate(observed) if observed else np.zeros(0, dtype=np.int64),
+        secrets,
     )
-    psi_h_inv = psi.submatrix([h - 1 for h in H], range(d)).inv().a
-    mxi = psi_h_inv @ X % q
-    xi_all = np.hstack([xi.a for xi in xis])
-
-    # Solve for C through the square block on the hat columns.
-    if d - ell > 0 and t > 0:
-        xi_up, xi_low = xi_all[:t], xi_all[t:]
-        c_xi_up = (mxi[ell:] - D @ xi_low) % q
-        rcol = {J: k for k, J in enumerate(params.repair_columns.subsets())}
-        hat_cols = [(j - 1) * c + rcol[J] for j, J in hat_column_labels(params, ell)]
-        xi_hat = GFMatrix(q, xi_up[:, hat_cols])
-        C = c_xi_up[:, hat_cols] @ xi_hat.inv().a % q
-    else:
-        C = np.zeros((d - ell, t), dtype=np.int64)
-
-    # Top blocks from the compromised contents.
-    inv_left = psi.submatrix([i - 1 for i in nodes], range(ell)).inv().a
-    psi_right = psi.submatrix([i - 1 for i in nodes], range(ell, d)).a
-    A = inv_left @ ((E[:, :t] - psi_right @ C) % q) % q
-    B = inv_left @ ((E[:, t:] - psi_right @ D) % q) % q
-
-    arr[:ell, :t] = A
-    arr[:ell, t:] = B
-    arr[ell:, :t] = C
-    M = GFMatrix(q, arr)
-    if not parity_holds(M, params):
-        raise InconsistentObservationError("reconstructed matrix violates parity")
-    full = psi.a @ arr % q
-    for k, f in enumerate(nodes):
-        expect = full @ xis[k].a % q
-        for h in range(1, params.n + 1):
-            if h != f and not np.array_equal(
-                expect[h - 1], np.asarray(packets[(h, f)], dtype=np.int64) % q
-            ):
-                raise InconsistentObservationError(
-                    f"packet ({h} -> {f}) inconsistent with the reconstruction"
-                )
-    return extract_keys(M, layout)
 
 
 # -- structural rank audits of the stacked repair encoders ---------------------
@@ -492,15 +409,15 @@ def audit_sweep(
 ) -> list[AuditRow]:
     """Audit every eavesdropper set with |L| <= ell (or the given cap)
     under the layout's own threat model (contents for Type-I, repair
-    traffic for Type-II; plain layouts audit contents).  An explicit cap
-    must lie in [1, n], so that it audits at least one set."""
+    traffic for Type-II; plain layouts audit contents).  The cap, given or
+    ell, must lie in [1, n], so that the sweep audits at least one set."""
     sp = layout.sparams
     params = sp.base
-    if max_set_size is not None and not 1 <= max_set_size <= params.n:
-        raise ValueError(
-            f"max set size must lie in [1, n={params.n}], got {max_set_size}"
-        )
     cap = sp.ell if max_set_size is None else max_set_size
+    if not 1 <= cap <= params.n:
+        raise ValueError(
+            f"max set size (default ell) must lie in [1, n={params.n}], got {cap}"
+        )
     maps = cell_maps(layout)
     fs, nk = layout.secret_count, layout.key_count
     # Each node's view is built once per sweep, key first ([M_Q | M_S], the

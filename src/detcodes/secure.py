@@ -183,19 +183,11 @@ def assemble(
     return GFMatrix(params.q, close_parity(place(arr, layout, secrets, keys), params))
 
 
-def _gather(M: GFMatrix, layout: MessageLayout, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def extract_secrets(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
     params = layout.sparams.base
     if M.shape != (params.d, params.alpha):
         raise ValueError(f"matrix shape {M.shape} does not match layout")
-    return M.a[index]
-
-
-def extract_secrets(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
-    return _gather(M, layout, layout.secret_index)
-
-
-def extract_keys(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
-    return _gather(M, layout, layout.key_index)
+    return M.a[layout.secret_index]
 
 
 # -- key sampling ---------------------------------------------------------------

@@ -508,8 +508,8 @@ class StripedCodec:
         block, to ``out`` from d helpers; return the repair bandwidth in
         symbols (stripes x d helpers x beta independent symbols each)."""
         params = self.params
-        if not 1 <= failed <= params.n:
-            raise ValueError(f"node id {failed} out of range [1, {params.n}]")
+        # repair_encoder rejects a failed id outside [1, n] before any read or write.
+        xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
         ids = [s.header.node_id for s in helpers]
         if len(set(ids)) != params.d or len(ids) != params.d:
             raise ShardFormatError(f"need {params.d} distinct helper shards")
@@ -519,7 +519,6 @@ class StripedCodec:
         header = replace(helpers[0].header, node_id=failed)
         stripes = self._stripes(header)
         d, alpha = params.d, params.alpha
-        xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
         psi_h = self.psi.submatrix(sorted(i - 1 for i in ids), range(d))
         psi_h_inv = psi_h.inv().a.astype(np.float64)
         out.write(header.to_bytes())

@@ -254,7 +254,7 @@ def test_decode_keys_type_ii_roundtrip_all_sets():
         assert np.array_equal(got, k)
 
 
-def test_decode_keys_type_ii_uses_exactly_hat_columns():
+def test_hat_column_labels_count_and_support():
     ps = system(8, 6, 2)
     labels = hat_column_labels(ps, 2)
     assert len(labels) == binom(6, 2) - binom(4, 2)
@@ -270,6 +270,55 @@ def test_decode_keys_type_ii_zero_and_errors():
         decode_keys_type_ii(bad, s, psi, [3, 5], lay)
     with pytest.raises(ValueError):
         decode_keys_type_ii(packets, s, psi, [3], lay)
+
+
+def test_decoders_reject_malformed_symbols():
+    ps, lay, psi, s, k, M = make_instance(8, 6, 2, 2, Scheme.TYPE_II, seed=15)
+    packets = all_packets(M, psi, [3, 5], ps)
+    for pair, bad in (
+        ((8, 5), np.append(packets[(8, 5)], 0)),  # 7 symbols, C(6, 1) = 6 expected
+        ((1, 3), packets[(1, 3)] + 0.5),
+    ):
+        with pytest.raises(ValueError, match=rf"packet \({pair[0]} -> {pair[1]}\) must") as err:
+            decode_keys_type_ii({**packets, pair: bad}, s, psi, [3, 5], lay)
+        assert not isinstance(err.value, InconsistentObservationError)
+    with pytest.raises(ValueError, match="secrets must hold integer"):
+        decode_keys_type_ii(packets, s.astype(float), psi, [3, 5], lay)
+    ps, lay, psi, s, k, M = make_instance(8, 6, 2, 2, Scheme.TYPE_I, seed=15)
+    E = psi.submatrix([2, 4], range(6)).a @ M.a % ps.q
+    with pytest.raises(ValueError, match="observed contents must hold integer"):
+        decode_keys_type_i(E + 0.5, s, psi, [3, 5], lay)
+    with pytest.raises(ValueError, match="secrets must hold integer"):
+        decode_keys_type_i(E, s + 0.5, psi, [3, 5], lay)
+    assert np.array_equal(decode_keys_type_i(E, s, psi, [3, 5], lay), k)
+
+
+@pytest.mark.parametrize(
+    "n,d,m,scheme,q",
+    [(7, 5, 2, Scheme.TYPE_I, None), (8, 6, 2, Scheme.TYPE_II, None), (6, 6, 2, Scheme.TYPE_II, 7)],
+)
+def test_decoders_agree_with_the_audit(n, d, m, scheme, q):
+    # A decoder returns the keys exactly for the |L| = ell sets whose audit
+    # row says the keys are recoverable; for every other set the view does
+    # not determine them, which is not an inconsistent observation.
+    ps, lay, psi, s, k, M = make_instance(n, d, m, 2, scheme, seed=17, q=q)
+    rows = [r for r in audit_sweep(lay, psi) if len(r.nodes) == 2]
+    assert len(rows) == binom(n, 2)
+    contents = psi.a @ M.a % ps.q
+    for row in rows:
+        L = row.nodes
+        if scheme is Scheme.TYPE_I:
+            args = (contents[[i - 1 for i in L]], s, psi, L, lay)
+            decode = decode_keys_type_i
+        else:
+            args = (all_packets(M, psi, L, ps), s, psi, L, lay)
+            decode = decode_keys_type_ii
+        if row.keys_recoverable:
+            assert np.array_equal(decode(*args), k)
+        else:
+            with pytest.raises(ValueError) as err:
+                decode(*args)
+            assert not isinstance(err.value, InconsistentObservationError)
 
 
 @pytest.mark.filterwarnings("ignore:Type-II with m=")
@@ -404,9 +453,11 @@ def test_audit_sweep_builds_each_node_view_once(monkeypatch, scheme, builder):
     assert len(expected) == 7 + 21 and len(calls) == 7
 
 
-@pytest.mark.parametrize("cap", [-1, 0, 8])
+@pytest.mark.parametrize("cap", [-1, 0, 8, None])
 def test_audit_sweep_rejects_cap_outside_node_range(cap):
-    ps, lay, psi, *_ = make_instance(7, 5, 2, 2, Scheme.TYPE_II)
+    # No cap given: a plain layout's default cap is its ell = 0.
+    ell, scheme = (0, Scheme.PLAIN) if cap is None else (2, Scheme.TYPE_II)
+    ps, lay, psi, *_ = make_instance(7, 5, 2, ell, scheme)
     with pytest.raises(ValueError, match="max set size"):
         audit_sweep(lay, psi, max_set_size=cap)
     assert len(audit_sweep(lay, psi, max_set_size=1)) == 7

@@ -190,6 +190,8 @@ def test_repair_rejects_bad_helper_sets():
         codec.repair_shard(3, shards[:6])  # includes node 3 itself
     with pytest.raises(ShardFormatError):
         codec.repair_shard(3, [shards[0]] * 6)
+    with pytest.raises(ValueError, match=r"node id 0 out of range \[1, 8\]"):
+        codec.repair_shard(0, shards[:6])
 
 
 def test_empty_file_single_padded_stripe():
@@ -680,10 +682,11 @@ def test_cli_audit_reports_parameters(capsys):
     assert "audited 36 eavesdropper sets" in text
 
 
-def test_cli_audit_ell_zero_vacuous_pass(capsys):
-    assert run_cli("audit", "--n", 6, "--d", 4, "--m", 2, "--scheme", "plain") == 0
-    text = capsys.readouterr().out
-    assert "audited 0 eavesdropper sets" in text and "PASS" in text
+def test_cli_audit_ell_zero_rejected(capsys):
+    # The default cap is ell; at ell = 0 there is no set to audit, so no verdict.
+    assert run_cli("audit", "--n", 6, "--d", 4, "--m", 2, "--scheme", "plain") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "max set size (default ell)" in err
 
 
 def test_cli_audit_n_equals_d_matches_checked_in_output(capsys):
