@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gf import Field, smallest_prime_gt
-from .gfmatrix import GFMatrix, echelon_pivots, rank_of
+from .gfmatrix import GFMatrix, echelon_pivots, matmul, rank_of
 from .subsets import LexIndexer, Subset, binom
 
 
@@ -51,9 +51,6 @@ class CellSums:
         """Table of len(terms) sums, each a list of ``width`` (sign, row, col)."""
         a = np.array(terms, dtype=np.intp).reshape(len(terms), width, 3)
         return cls(*read_only(a[..., 1], a[..., 2], a[..., 0].astype(np.int64)))
-
-    def __getitem__(self, g: slice) -> "CellSums":
-        return CellSums(self.rows[g], self.cols[g], self.signs[g])
 
     def sums(self, a: np.ndarray, q: int) -> np.ndarray:
         """The (..., sums) residues mod q over a (..., rows, cols) batch."""
@@ -170,13 +167,11 @@ def parity_partners(x: int, I: Subset) -> list[tuple[int, int, Subset]]:
 # integer dtype, so a single matrix is a batch of one.
 
 
-def close_parity(mb: np.ndarray, params: SystemParams, groups: slice = slice(None)) -> np.ndarray:
+def close_parity(mb: np.ndarray, params: SystemParams) -> np.ndarray:
     """Fill the P cells of a (..., d, alpha) batch whose V/W cells are set,
-    in place, and return the batch.  ``groups`` selects parity groups by
-    lexicographic position; a P cell depends on W cells only, so the
-    groups may be closed in any order."""
+    in place, and return the batch."""
     (rows, cols), partners = params.parity_table
-    mb[..., rows[groups], cols[groups]] = partners[groups].sums(mb, params.q)
+    mb[..., rows, cols] = partners.sums(mb, params.q)
     return mb
 
 
@@ -279,7 +274,7 @@ def repair_packet(
         raise ValueError(f"node {f} cannot send repair data to itself")
     if xi is None:
         xi = repair_encoder(f, psi, params)
-    payload = share.values @ xi.a % params.q
+    payload = matmul(share.values, xi.a, params.q)
     return RepairPacket(share.node_id, f, payload)
 
 
@@ -301,7 +296,7 @@ def repair_node(
     by_helper = {p.helper: p for p in packets}
     stacked = np.stack([by_helper[h].values for h in helpers])
     psi_h = psi.submatrix([h - 1 for h in helpers], range(params.d))
-    mxi = psi_h.inv().a @ stacked % params.q  # equals M @ Xi^f
+    mxi = matmul(psi_h.inv().a, stacked, params.q)  # equals M @ Xi^f
     return NodeShare(f, recombine(mxi, params))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (moduli here stay below ~2^16)."""
+    """Trial-division primality test: about sqrt(n)/2 divisions."""
     if n < 2:
         return False
     if n < 4:

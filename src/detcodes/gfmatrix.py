@@ -1,11 +1,11 @@
 """Dense exact linear algebra over GF(q).
 
 Matrices are immutable wrappers around 2-D int64 numpy arrays holding
-canonical residues.  One forward elimination kernel serves ranks, `rref`
-and `inv`.  It uses plain first-nonzero pivoting; over an exact field
-there is no numerical pivot strategy to worry about, and the row
-operations are vectorized so rank computations on the few-hundred-row
-matrices produced by the security audits stay cheap.
+canonical residues.  One period rule (`_period`) keeps int64 exact in the
+one product, `matmul`, and in the one forward elimination behind ranks,
+`rref` and `inv`, which pivots on the first nonzero: over an exact field
+there is no numerical pivot strategy to worry about.  Row operations are
+vectorized, so ranks of the audits' few-hundred-row matrices stay cheap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,32 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
 
 
+def _period(q: int) -> int:
+    """How many residue products int64 can add to a reduced sum before it
+    must reduce again: q + t(q-1)^2 < 2^63 for t = 2^62 // (q-1)^2, which
+    is at least 1 exactly when q <= 2^31 + 1 (Dumas, Giorgi & Pernet, TOMS 2008)."""
+    if not 2 <= q <= (1 << 31) + 1:
+        raise ValueError(f"GF({q}) arithmetic needs 2 <= q <= 2^31 + 1")
+    return (1 << 62) // (q - 1) ** 2
+
+
+def matmul(a: object, b: object, q: int) -> np.ndarray:
+    """Exact ``a @ b`` mod q as int64 residues, with numpy's matmul broadcasting;
+    sums are reduced every `_period(q)` products along the inner dimension."""
+    period = _period(q)
+    a, b = np.asarray(a, dtype=np.int64) % q, np.asarray(b, dtype=np.int64) % q
+    inner = max(b.ndim - 2, 0)  # b's summed axis
+    if a.shape[-1] != b.shape[inner]:
+        raise ValueError(f"dimension mismatch for product: {a.shape} @ {b.shape}")
+    lead = (slice(None),) * inner
+    out = a[..., :period] @ b[lead + (slice(period),)] % q
+    for k in range(period, a.shape[-1], period):
+        out = (out + a[..., k : k + period] @ b[lead + (slice(k, k + period),)]) % q
+    return out
+
+
 def _canonical(a: object, q: int) -> np.ndarray:
+    _period(q)  # refuses a field whose products int64 cannot hold
     arr = np.asarray(a, dtype=np.int64) % q
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
@@ -36,9 +61,9 @@ def _forward(a: np.ndarray, q: int, keep_rows: bool) -> list[int]:
     Reduction mod q is delayed (Dumas, Giorgi & Pernet, TOMS 2008): each
     step reduces only the inspected column and the pivot row, and
     subtracts their outer product from the trailing block unreduced.  A
-    step moves an entry by less than (q-1)^2, so the block is reduced
-    once every 2^62 // (q-1)^2 steps and int64 never overflows; for
-    q < 2^16 that is never in practice, for q near 2^31 every step.
+    step moves an entry by at most (q-1)^2, so the block is reduced once
+    every `_period(q)` steps and int64 never overflows; for q < 2^16 that
+    is never in practice, for q near 2^31 every step.
 
     With ``keep_rows``, row i of ``a`` ends as the i-th pivot row scaled
     to a leading 1, valid from its pivot column on and reduced mod q;
@@ -48,7 +73,7 @@ def _forward(a: np.ndarray, q: int, keep_rows: bool) -> list[int]:
     nonzero is the pivot.
     """
     rows, cols = a.shape
-    period = max(1, (1 << 62) // (q - 1) ** 2)
+    period = _period(q)
     pending = 0
     pivots: list[int] = []
     r = 0
@@ -108,8 +133,6 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 def rank_of(a: np.ndarray, q: int) -> int:
     """Row rank over GF(q) of a raw array (no wrapping overhead)."""
-    if a.size == 0:
-        return 0
     return len(echelon_pivots(a, q))
 
 
@@ -161,19 +184,12 @@ class GFMatrix:
     def __repr__(self) -> str:
         return f"GFMatrix(q={self.q}, shape={self.shape})"
 
-    def _check_field(self, other: "GFMatrix") -> None:
-        if self.q != other.q:
-            raise ValueError(f"field mismatch: GF({self.q}) vs GF({other.q})")
-
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch for product: {self.shape} @ {other.shape}"
-            )
-        return GFMatrix(self.q, self.a @ other.a)
+        if self.q != other.q:
+            raise ValueError(f"field mismatch: GF({self.q}) vs GF({other.q})")
+        return GFMatrix(self.q, matmul(self.a, other.a, self.q))
 
     def transpose(self) -> "GFMatrix":
         return GFMatrix(self.q, self.a.T)

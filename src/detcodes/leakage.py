@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .code import SystemParams, close_parity, packet_support_basis, repair_encoder
-from .gfmatrix import GFMatrix, echelon_pivots, rank_of
+from .gfmatrix import GFMatrix, echelon_pivots, matmul, rank_of
 from .secure import MessageLayout, Scheme, place
 from .subsets import Subset, binom
 
@@ -61,10 +61,10 @@ def _node_set(L: Iterable[int], params: SystemParams) -> list[int]:
     return nodes
 
 
-def _observation(blocks: list[np.ndarray], layout: MessageLayout, width: int) -> LinearObservation:
-    """The view whose rows are the stacked blocks, split at the key slots."""
-    rows = np.vstack(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
+def _observation(rows: np.ndarray, layout: MessageLayout) -> LinearObservation:
+    """The view whose rows are the given maps, in order, split at the key slots."""
     fs = layout.secret_count
+    rows = rows.reshape(-1, fs + layout.key_count)
     return LinearObservation(layout.sparams.base.q, rows[:, :fs], rows[:, fs:])
 
 
@@ -79,8 +79,8 @@ def observe_node_contents(
     nodes = _node_set(L, params)
     if maps is None:
         maps = cell_maps(layout)
-    blocks = [np.tensordot(psi.a[i - 1], maps, axes=1) % params.q for i in nodes]
-    return _observation(blocks, layout, maps.shape[2])
+    rows = psi.a[[i - 1 for i in nodes]]
+    return _observation(matmul(rows, maps.reshape(params.d, -1), params.q), layout)
 
 
 def observe_repair_traffic(
@@ -91,20 +91,15 @@ def observe_repair_traffic(
 ) -> LinearObservation:
     """Type-II view: all repair data flowing into every node in L."""
     params = layout.sparams.base
-    q = params.q
     nodes = _node_set(L, params)
     if maps is None:
         maps = cell_maps(layout)
-    node_maps = {
-        h: np.tensordot(psi.a[h - 1], maps, axes=1) % q for h in range(1, params.n + 1)
-    }
-    blocks = []
-    for f in nodes:
-        xi_t = repair_encoder(f, psi, params).a.T
-        for h in range(1, params.n + 1):
-            if h != f:
-                blocks.append(xi_t @ node_maps[h] % q)
-    return _observation(blocks, layout, maps.shape[2])
+    contents = matmul(psi.a, maps.reshape(params.d, -1), params.q).reshape(-1, *maps.shape[1:])
+    blocks = [
+        matmul(repair_encoder(f, psi, params).a.T, np.delete(contents, f - 1, axis=0), params.q)
+        for f in nodes
+    ]
+    return _observation(np.stack(blocks) if blocks else contents[:0], layout)
 
 
 def reduced_traffic_rows(
@@ -124,8 +119,8 @@ def reduced_traffic_rows(
     xi_t = xi.a[:, list(packet_support_basis(xi))].T
     helpers = [h - 1 for h in range(1, params.n + 1) if h != f]
     echelon, pivots = psi.submatrix(helpers, range(params.d)).rref()
-    rows = np.tensordot(echelon.a[: len(pivots)], xi_t @ maps, axes=1) % params.q
-    return rows.reshape(-1, maps.shape[2])
+    packets = matmul(xi_t, maps, params.q).reshape(params.d, -1)  # (d, beta * width)
+    return matmul(echelon.a[: len(pivots)], packets, params.q).reshape(-1, maps.shape[2])
 
 
 def observation_ranks(
@@ -140,8 +135,6 @@ def observation_ranks(
     """
     nk = obs.key_map.shape[1]
     stacked = np.hstack([obs.key_map, obs.secret_map]) if key_first is None else key_first
-    if stacked.size == 0:
-        return 0, 0
     pivots = echelon_pivots(stacked, obs.q)
     return len(pivots), sum(1 for p in pivots if p < nk)
 
@@ -187,7 +180,7 @@ def _solve_keys(
     rhs column means no keys explain the observed symbols.
     """
     q, nk = obs.q, obs.key_map.shape[1]
-    rhs = (observed - obs.secret_map @ secrets) % q
+    rhs = (observed - matmul(obs.secret_map, secrets, q)) % q
     echelon, pivots = GFMatrix(q, np.column_stack([obs.key_map, rhs])).rref()
     if sum(1 for p in pivots if p < nk) < nk:
         raise ValueError("the observed view does not determine every key")

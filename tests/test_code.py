@@ -188,6 +188,19 @@ def test_recover_from_every_subset():
         assert recover_message([shares[i] for i in K], psi, ps) == M
 
 
+def test_recover_and_repair_exact_at_largest_prime_field():
+    # At q = 2^31 - 1 a product of two residues is almost 2^62: every
+    # int64 sum of such products must be reduced after each one.
+    ps = system(8, 6, 2, q=2**31 - 1)
+    psi = vandermonde_encoder(ps)
+    M = random_message(ps, seed=5)
+    shares = encode(M, psi)
+    assert recover_message(shares[2:], psi, ps) == M
+    for f in range(1, 9):
+        pkts = [repair_packet(s, f, psi, ps) for s in shares if s.node_id != f]
+        assert np.array_equal(repair_node(f, pkts[:6], psi, ps).values, shares[f - 1].values)
+
+
 def test_recover_errors():
     ps = system(8, 6, 2)
     psi = vandermonde_encoder(ps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcodes.gfmatrix import GFMatrix, SingularMatrixError, echelon_pivots
+from detcodes.gfmatrix import GFMatrix, SingularMatrixError, echelon_pivots, matmul
 
 
 def rand_matrix(rng, rows, cols, q):
@@ -27,6 +27,53 @@ def test_matmul_mismatch():
         GFMatrix.zeros(2, 3, 7) @ GFMatrix.zeros(2, 3, 7)
     with pytest.raises(ValueError):
         GFMatrix.zeros(2, 3, 7) @ GFMatrix.zeros(3, 2, 11)
+    with pytest.raises(ValueError):  # period 1: the first slices would agree
+        matmul(np.ones((2, 2)), np.ones((3, 3)), 2**31 - 1)
+
+
+@st.composite
+def product_case(draw):
+    """(q, a, b): operands in the shapes `matmul`'s callers use, with an
+    inner dimension of 0, 1 or several reduction periods (the period is 1
+    at q >= 2^31 - 1), and entries random, all q - 1, or unreduced."""
+    q = draw(st.sampled_from([2, 11, 65521, 2**31 - 1, 2**31 + 1]))
+    k = draw(st.sampled_from([0, 1, 2, 7]))
+    r, c, s = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    shapes = draw(st.sampled_from([
+        ((r, k), (k, c)),  # GFMatrix @, repair_node, node contents
+        ((k,), (k, c)),  # repair_packet: one share times Xi^f
+        ((r, k), (k,)),  # _solve_keys: M_S @ secrets
+        ((r, k), (s, k, c)),  # Xi^f transposed against stacked node maps
+        ((s, r, k), (s, k, c)),  # stacked
+    ]))
+    kind = draw(st.sampled_from(["random", "all q-1", "unreduced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "all q-1":
+        return q, np.full(shapes[0], q - 1), np.full(shapes[1], q - 1)
+    lo, hi = (0, q) if kind == "random" else (-2 * q, 2 * q)
+    return q, rng.integers(lo, hi, shapes[0]), rng.integers(lo, hi, shapes[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_case())
+def test_matmul_matches_python_int_product(case):
+    # At q near 2^31 one product of residues is almost 2^62, so a sum of
+    # two overflows int64 unless it is reduced in between.
+    q, a, b = case
+    expected = (a.astype(object) @ b.astype(object)) % q
+    got = matmul(a, b, q)
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected.astype(np.int64))
+
+
+@pytest.mark.parametrize("q", [1, 2**31 + 2, 4294967311])
+def test_fields_beyond_the_int64_kernels_refused(q):
+    # 4294967311, the least prime above 2^32: (q-1)^2 does not fit in int64.
+    eye = np.eye(2, dtype=np.int64)
+    for call in (lambda: GFMatrix(q, eye), lambda: echelon_pivots(eye, q),
+                 lambda: matmul(eye, eye, q)):
+        with pytest.raises(ValueError, match=r"needs 2 <= q <= 2\^31 \+ 1"):
+            call()
 
 
 def test_rank_examples():

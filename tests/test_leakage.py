@@ -84,6 +84,13 @@ def test_empty_set_observations():
         assert mutual_information(obs) == 0
 
 
+@pytest.mark.parametrize("rows,secrets,keys", [(0, 3, 2), (4, 0, 0), (0, 0, 0)])
+def test_empty_views_rank_zero(rows, secrets, keys):
+    obs = LinearObservation(11, np.zeros((rows, secrets), np.int64), np.zeros((rows, keys), np.int64))
+    assert observation_ranks(obs) == (0, 0)
+    assert rank_of(np.hstack([obs.key_map, obs.secret_map]), 11) == 0
+
+
 def test_observation_dimensions():
     ps, lay, psi, *_ = make_instance(8, 6, 2, 2, Scheme.TYPE_II)
     obs1 = observe_node_contents([4], psi, lay)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ from detcodes.code import (
     system,
 )
 from detcodes.gfmatrix import GFMatrix
+from detcodes.leakage import AUDIT_CSV_HEADER
 from detcodes.secure import KeyStream, Scheme, SecureParams, assemble, extract_secrets
 from detcodes.subsets import ind
 from detcodes.shards import (
@@ -698,6 +700,38 @@ def test_cli_audit_n_equals_d_matches_checked_in_output(capsys):
         "audit", "--n", 6, "--d", 6, "--m", 2, "--scheme", "type2", "--ell", 2, "--q", 7
     ) == 1
     assert capsys.readouterr().out == expected
+
+
+BENCH_REFERENCES = sorted((Path(__file__).parents[1] / "perfbench" / "reference").glob("audit-*.csv"))
+
+
+@pytest.mark.parametrize("ref", BENCH_REFERENCES, ids=lambda ref: ref.stem)
+def test_cli_audit_matches_benchmark_reference(capsys, ref):
+    # The benchmark checks its audit CSVs against these references.  The
+    # file name holds the flags, audit-SCHEME-nN-dD-mM-ellL-qQ.csv, and the
+    # file the output from the CSV header up to the `audited` line.
+    _, scheme, *fields = ref.stem.split("-")
+    argv = ["audit", "--scheme", scheme]
+    for field in fields:
+        name, value = re.fullmatch(r"([a-z]+)(\d+)", field).groups()
+        argv += [f"--{name}", value]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("audited "))
+    assert lines[lines.index(AUDIT_CSV_HEADER) : end] == ref.read_text().splitlines()
+
+
+def test_cli_audit_field_beyond_int64_products_exit_code(capsys):
+    # 4294967311 is prime, but (q-1)^2 exceeds 2^62: int64 cannot hold
+    # even one product of residues, so the audit refuses the field.
+    rc = run_cli(
+        "audit", "--n", 8, "--d", 6, "--m", 2, "--scheme", "type2", "--ell", 2,
+        "--q", 4294967311,
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: GF(4294967311) arithmetic needs") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cap", [-1, 0, 9])
