@@ -84,7 +84,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     headers = codec.encode_to(args.input, args.out, seed, seed_present)
     head = headers[0]
     stripes = head.payload_symbols // sparams.base.alpha
-    stored = len(headers) * (len(head.to_bytes()) + 2 * head.payload_symbols)
+    stored = len(headers) * (head.size + head.payload_bytes)
     expansion = f"{stored / head.original_length:.2f}x" if head.original_length else "-"
     print(
         f"encoded {head.original_length} bytes into {len(headers)} shards "

@@ -52,9 +52,13 @@ class CellSums:
         a = np.array(terms, dtype=np.intp).reshape(len(terms), width, 3)
         return cls(*read_only(a[..., 1], a[..., 2], a[..., 0].astype(np.int64)))
 
+    def signed_sums(self, a: np.ndarray) -> np.ndarray:
+        """The (..., sums) signed sums, unreduced, over a (..., rows, cols) batch."""
+        return (a[..., self.rows, self.cols] * self.signs).sum(axis=-1)
+
     def sums(self, a: np.ndarray, q: int) -> np.ndarray:
         """The (..., sums) residues mod q over a (..., rows, cols) batch."""
-        return (a[..., self.rows, self.cols] * self.signs).sum(axis=-1) % q
+        return self.signed_sums(a) % q
 
 
 @dataclass(frozen=True)

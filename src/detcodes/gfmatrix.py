@@ -44,9 +44,15 @@ def matmul(a: object, b: object, q: int) -> np.ndarray:
     return out
 
 
+def _residues(a: object, q: int) -> np.ndarray:
+    """``a`` mod q as int64, once `_period` has accepted q (before ``%``,
+    which would warn at q = 0)."""
+    _period(q)
+    return np.asarray(a, dtype=np.int64) % q
+
+
 def _canonical(a: object, q: int) -> np.ndarray:
-    _period(q)  # refuses a field whose products int64 cannot hold
-    arr = np.asarray(a, dtype=np.int64) % q
+    arr = _residues(a, q)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     arr = np.ascontiguousarray(arr)
@@ -115,13 +121,13 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
     input is never modified: reducing it mod q makes the one copy the
     elimination works in.
     """
-    return _forward(np.asarray(a, dtype=np.int64) % q, q, keep_rows=False)
+    return _forward(_residues(a, q), q, keep_rows=False)
 
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns: the forward pass with
     its pivot rows kept, then back substitution from the last pivot up."""
-    work = np.asarray(a, dtype=np.int64) % q
+    work = _residues(a, q)
     pivots = _forward(work, q, keep_rows=True)
     out = np.zeros_like(work)
     for i, p in enumerate(pivots):

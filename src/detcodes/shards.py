@@ -4,14 +4,21 @@ A file is packed into field symbols at floor(log2 q) bits per symbol,
 split into stripes of F_s secrets each (F for plain layouts), and every
 stripe is assembled with fresh keys, the next run of the file's single
 key stream, and encoded; shard i holds row i of every stripe's codeword.
-Each shard is self-describing: a 52-byte header (magic ``DETC`` plus
-twelve little-endian 4-byte integers) followed by the payload as
-little-endian 2-byte symbols, each below q.
+Each shard is self-describing: a 68-byte version-2 header (magic ``DETC``,
+twelve little-endian 4-byte integers and a 16-byte object id) followed by
+the payload, b bits per symbol, where b is the smallest of 1, 2, 4, 8 and
+16 that holds q - 1 (4 at q = 11).  Symbol i occupies bits [i*b, (i+1)*b)
+of the payload read as a little-endian bit string, every symbol is below
+q, and the pad bits of the last byte are zero.  Version-1 shards (a
+52-byte header without the id, 16-bit symbols) still read, recover and
+repair; repairing from them writes a version-1 shard.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import io
 import math
 import os
@@ -24,14 +31,16 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .code import SystemParams, close_parity, recombine, repair_encoder, vandermonde_encoder
+from .code import SystemParams, close_parity, repair_encoder, vandermonde_encoder
 from .gf import Field
 from .gfmatrix import GFMatrix
 from .secure import KeyStream, MessageLayout, Scheme, SecureParams, build_layout, place
 
 MAGIC = b"DETC"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4s12I")
+FORMAT_VERSION = 2
+# Header layout per format version; version 2 appends the object id.
+_HEADERS = {1: struct.Struct("<4s12I"), 2: struct.Struct("<4s12I16s")}
+_OBJECT_ID_TAG = b"detcodes object id v2"
 
 # Bound on the codec's tables: the d x C(d,m) message matrix and the n x d
 # encoder.  Its index tables cost about 3 us per message cell to build
@@ -65,9 +74,12 @@ class ShardHeader:
     seed_present: bool
     original_length: int
     padding_symbols: int
+    # SHAKE-256 of the encoded input and seed (`_object_id`); version-1
+    # headers carry none and read as sixteen zero bytes.
+    object_id: bytes = bytes(16)
 
     def to_bytes(self) -> bytes:
-        return _HEADER.pack(
+        return _HEADERS[self.version].pack(
             MAGIC,
             self.version,
             _SCHEME_TAG[self.scheme],
@@ -81,31 +93,50 @@ class ShardHeader:
             1 if self.seed_present else 0,
             self.original_length,
             self.padding_symbols,
+            *([self.object_id] if self.version > 1 else []),
         )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ShardHeader":
-        if len(raw) < _HEADER.size:
+        if len(raw) < _HEADERS[1].size:
             raise ShardFormatError("shard too short for a header")
-        magic, ver, tag, q, n, d, m, ell, node, syms, seeded, length, pad = _HEADER.unpack(
-            raw[: _HEADER.size]
-        )
+        magic, ver = struct.unpack_from("<4sI", raw)
         if magic != MAGIC:
             raise ShardFormatError(f"bad magic {magic!r}")
-        if ver != FORMAT_VERSION:
+        if ver not in _HEADERS:
             raise ShardFormatError(f"unsupported format version {ver}")
+        if len(raw) < _HEADERS[ver].size:
+            raise ShardFormatError("shard too short for a header")
+        _, _, tag, q, n, d, m, ell, node, syms, seeded, length, pad, *oid = _HEADERS[ver].unpack_from(raw)
         if tag not in _TAG_SCHEME:
             raise ShardFormatError(f"unknown scheme tag {tag}")
         if not 1 <= node <= n:
             raise ShardFormatError(f"node id {node} outside [1, n={n}]")
-        return cls(ver, _TAG_SCHEME[tag], q, n, d, m, ell, node, syms, bool(seeded), length, pad)
+        return cls(ver, _TAG_SCHEME[tag], q, n, d, m, ell, node, syms, bool(seeded), length, pad, *oid)
+
+    @property
+    def size(self) -> int:
+        """Header bytes, before the payload."""
+        return _HEADERS[self.version].size
+
+    @property
+    def payload_bits(self) -> int:
+        """Bits per stored symbol: 16 in version 1, else the smallest of
+        1, 2, 4, 8 and 16 that holds q - 1."""
+        need = (self.q - 1).bit_length() if self.version > 1 else 16
+        return next(b for b in (1, 2, 4, 8, 16) if need <= b or b == 16)
+
+    @property
+    def payload_bytes(self) -> int:
+        return -(-self.payload_symbols * self.payload_bits // 8)
 
     def secure_params(self) -> SecureParams:
         base = SystemParams(self.n, self.d, self.m, Field(self.q))
         return SecureParams(base, self.ell, self.scheme)
 
     def compatible_with(self, other: "ShardHeader") -> bool:
-        """Same coded object, ignoring which node the shard belongs to."""
+        """Same coded object, ignoring which node the shard belongs to: every
+        field, the object id included, agrees."""
         return replace(self, node_id=0) == replace(other, node_id=0)
 
 
@@ -126,32 +157,37 @@ class Shard:
             )
 
     def to_bytes(self) -> bytes:
-        return self.header.to_bytes() + self.symbols.astype("<u2", copy=False).tobytes()
+        return self.header.to_bytes() + _pack_payload(self.symbols[None], self.header.payload_bits).tobytes()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Shard":
         header = ShardHeader.from_bytes(raw)
-        _check_payload_size(header, len(raw) - _HEADER.size)
-        return cls(header, np.frombuffer(raw, dtype="<u2", offset=_HEADER.size))
+        _check_payload_size(header, len(raw) - header.size)
+        body = np.frombuffer(raw, dtype=np.uint8, offset=header.size)
+        return cls(header, _unpack_payload(body[None], [header], header.payload_symbols)[0])
 
-    def read_payload(self, start: int, out: np.ndarray) -> None:
-        """Copy payload symbols start, start + 1, ... into all of ``out``."""
-        np.copyto(out, self.symbols[start : start + out.size].reshape(out.shape))
+    def read_payload(self, offset: int, out: np.ndarray) -> None:
+        """Pack payload bytes offset, offset + 1, ... into all of ``out``, a
+        uint8 array; ``offset`` falls on a symbol boundary."""
+        bits = self.header.payload_bits
+        start = 8 * offset // bits
+        rows = self.symbols[None, start : start + 8 * out.size // bits]
+        np.copyto(out, _pack_payload(rows, bits)[0])
 
 
 class ShardFile:
     """A shard file opened for block reads.
 
     Opening reads and checks the header and checks the file size against
-    it, before any payload is read; `read_payload` checks each block's
-    symbols as it reads them, with the same rules as `Shard`.
+    it, before any payload is read; the codec decodes and checks each
+    block's symbols as it reads them, with the same rules as `Shard`.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._fh = open(path, "rb")
         try:
-            self.header = ShardHeader.from_bytes(self._fh.read(_HEADER.size))
-            _check_payload_size(self.header, os.fstat(self._fh.fileno()).st_size - _HEADER.size)
+            self.header = ShardHeader.from_bytes(self._fh.read(_HEADERS[FORMAT_VERSION].size))
+            _check_payload_size(self.header, os.fstat(self._fh.fileno()).st_size - self.header.size)
         except BaseException:
             self._fh.close()
             raise
@@ -162,18 +198,17 @@ class ShardFile:
     def __exit__(self, *exc: object) -> None:
         self._fh.close()
 
-    def read_payload(self, start: int, out: np.ndarray) -> None:
-        """Read payload symbols start, start + 1, ... into all of ``out``, a
-        C-contiguous little-endian uint16 array."""
-        self._fh.seek(_HEADER.size + 2 * start)
+    def read_payload(self, offset: int, out: np.ndarray) -> None:
+        """Read payload bytes offset, offset + 1, ... into all of ``out``, a
+        C-contiguous uint8 array."""
+        self._fh.seek(self.header.size + offset)
         if self._fh.readinto(out) != out.nbytes:
             raise ShardFormatError(f"shard for node {self.header.node_id} ended early")
-        _check_symbols(out, self.header)
 
 
 def _check_payload_size(header: ShardHeader, body: int) -> None:
-    if body != 2 * header.payload_symbols:
-        raise ShardFormatError(f"payload is {body} bytes, expected {2 * header.payload_symbols}")
+    if body != header.payload_bytes:
+        raise ShardFormatError(f"payload is {body} bytes, expected {header.payload_bytes}")
 
 
 def _check_symbols(s: np.ndarray, header: ShardHeader) -> None:
@@ -208,6 +243,53 @@ def _replacing(paths: Sequence[Path]) -> Iterator[list[io.BufferedWriter]]:
         raise
 
 
+def _unpack_payload(raw: np.ndarray, headers: Sequence[ShardHeader], count: int) -> np.ndarray:
+    """Decode and check rows of packed payload bytes, row i from the shard
+    of ``headers[i]``, all of one object: the first ``count`` symbols of
+    each row, as a (rows, count) uint16 array.  The rest, the pad bits of a
+    payload's last byte, must be zero, and every symbol must lie below q."""
+    bits = headers[0].payload_bits
+    if bits == 16:
+        syms = raw.view("<u2")
+    elif bits == 1:
+        syms = np.unpackbits(raw, axis=-1, bitorder="little").astype(np.uint16)
+    else:
+        # The inverse of `_pack_payload`'s folds: each byte widens to a word
+        # of 8/bits 16-bit symbols, halving the groups of symbols each step.
+        per = 8 // bits
+        words = raw.astype(f"<u{2 * per}")
+        for level in reversed(range(per.bit_length() - 1)):
+            words |= words << words.dtype.type((16 - bits) << level)
+            group = (1 << (bits << level)) - 1
+            words &= words.dtype.type(sum(group << k for k in range(0, 16 * per, 16 << level)))
+        syms = words.view("<u2")
+    pad = syms[:, count:].any(axis=1)
+    if pad.any():
+        raise ShardFormatError(f"shard for node {headers[pad.argmax()].node_id} has nonzero pad bits")
+    for header, row in zip(headers, syms[:, :count]):
+        _check_symbols(row, header)
+    return syms[:, :count]
+
+
+def _pack_payload(symbols: np.ndarray, bits: int) -> np.ndarray:
+    """Pack each row of a (rows, count) array of symbols below 2^bits into
+    ceil(count * bits / 8) payload bytes, zero pad bits included."""
+    if bits == 16:
+        return symbols.astype("<u2", copy=False).view(np.uint8)
+    if bits == 1:
+        return np.packbits(symbols.astype(np.uint8), axis=-1, bitorder="little")
+    per = 8 // bits
+    rows, count = symbols.shape
+    padded = np.zeros((rows, -(-count // per) * per), dtype="<u2")
+    padded[:, :count] = symbols
+    # Each word holds `per` 16-bit symbols; every fold halves the distance
+    # between neighbours, until symbol j sits at bit j*bits of the low byte.
+    words = padded.view(f"<u{2 * per}")
+    for level in range(per.bit_length() - 1):
+        words |= words >> words.dtype.type((16 - bits) << level)
+    return words.astype(np.uint8)
+
+
 def write_shard(path: str | Path, shard: Shard) -> None:
     """Write atomically: temp file in the target directory, then rename."""
     with _replacing([Path(path)]) as (fh,):
@@ -226,45 +308,53 @@ def symbol_width(q: int) -> int:
     return q.bit_length() - 1
 
 
-def _symbol_spans(w: int) -> list[tuple[int, int, int]]:
-    """Where each of the 8 symbols of a w-byte group lies.
+# Symbols are packed in groups: w bytes carry exactly 8 symbols of w bits.
+# Each product below handles this many groups at a time, so that its
+# float64 temporaries stay in cache.
+_PACK_GROUPS = 1024
 
-    Symbol j holds bits [jw, jw + w) of the group (most significant bit
-    first): bytes first..last, ending ``shift`` bits before the end of
-    byte ``last``.  For w <= 15 a symbol spans at most 3 bytes, so the
-    window of those bytes fits in 24 bits.
+
+@functools.lru_cache(maxsize=None)
+def _pack_weights(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (w, 8) weights of a group's bytes in its symbols and the (8, w)
+    weights of its symbols in its bytes.
+
+    The group is one bit string, most significant bit first: symbol j
+    holds bits [jw, jw + w), byte t bits [8t, 8t + 8).  A symbol is the
+    floor of the sum of its <= 3 bytes, each shifted to its place, mod 2^w;
+    a byte is the floor of the sum of the symbols it overlaps, shifted
+    alike, mod 256 (bits of earlier parts add multiples of the modulus,
+    and later parts stay below the next integer).  Each weight is 2^e
+    with -14 <= e <= 14.
     """
     if not 1 <= w <= 15:
         raise ValueError(f"{w}-bit symbols do not fit the format; need 2 <= q < 2^16")
-    spans = []
+    to_symbols, to_bytes = np.zeros((w, 8)), np.zeros((8, w))
     for j in range(8):
-        start, end = j * w, (j + 1) * w
-        last = (end - 1) // 8
-        spans.append((start // 8, last, 8 * (last + 1) - end))
-    return spans
+        for t in range(j * w // 8, ((j + 1) * w - 1) // 8 + 1):
+            e = (j + 1) * w - 8 * (t + 1)  # the weight of byte t's last bit in symbol j
+            to_symbols[t, j], to_bytes[j, t] = 2.0**e, 2.0**-e
+    return to_symbols, to_bytes
 
 
 def pack_bytes(data: bytes, q: int) -> np.ndarray:
     """Fixed-width packing of a byte stream into uint16 symbols below 2^w <= q.
 
     The bytes are read as one big-endian bit string, cut into w-bit
-    symbols and zero-padded to a whole symbol.  Every w bytes carry
-    exactly 8 symbols, so each w-byte group is one row of 8 symbols.
+    symbols and zero-padded to a whole symbol.
     """
     w = symbol_width(q)
     count = -(-8 * len(data) // w)
+    if w == 1:  # a product with inner dimension 1 is slower than this
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).astype(np.uint16)
     groups = -(-len(data) // w)
     padded = np.zeros(groups * w, dtype=np.uint8)
     padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    grid = padded.reshape(groups, w).astype(np.uint32)
+    grid = padded.reshape(groups, w)
+    weights, _ = _pack_weights(w)
     out = np.empty((groups, 8), dtype=np.uint16)
-    mask = (1 << w) - 1
-    for j, (first, last, shift) in enumerate(_symbol_spans(w)):
-        window = grid[:, first].copy()
-        for t in range(first + 1, last + 1):
-            window <<= 8
-            window |= grid[:, t]
-        out[:, j] = (window >> shift) & mask
+    for lo in range(0, groups, _PACK_GROUPS):
+        _floor_mod(grid[lo : lo + _PACK_GROUPS] @ weights, (1 << w) - 1, out[lo : lo + _PACK_GROUPS])
     return out.reshape(-1)[:count]
 
 
@@ -277,17 +367,17 @@ def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int) -> bytes:
         raise ShardFormatError("not enough symbols for the recorded file length")
     groups = -(-byte_length // w)
     used = min(len(symbols), 8 * groups)
-    padded = np.zeros(8 * groups, dtype=np.uint32)
+    padded = np.zeros(8 * groups, dtype=np.uint16)
     padded[:used] = symbols[:used]
-    padded &= (1 << w) - 1
-    padded = padded.reshape(groups, 8)
-    out = np.zeros((groups, w), dtype=np.uint32)
-    for j, (first, last, shift) in enumerate(_symbol_spans(w)):
-        window = padded[:, j] << shift
-        for t in range(last, first - 1, -1):
-            out[:, t] |= window & 0xFF
-            window >>= 8
-    return out.astype(np.uint8).reshape(-1)[:byte_length].tobytes()
+    padded &= np.uint16((1 << w) - 1)
+    if w == 1:
+        return np.packbits(padded.astype(np.uint8))[:byte_length].tobytes()
+    grid = padded.reshape(groups, 8)
+    _, weights = _pack_weights(w)
+    out = np.empty((groups, w), dtype=np.uint8)
+    for lo in range(0, groups, _PACK_GROUPS):
+        _floor_mod(grid[lo : lo + _PACK_GROUPS] @ weights, 0xFF, out[lo : lo + _PACK_GROUPS])
+    return out.reshape(-1)[:byte_length].tobytes()
 
 
 # -- striped codec ------------------------------------------------------------------
@@ -310,7 +400,7 @@ class StripedCodec:
     GF(q) is one 2-D float64 GEMM (`_mat`) and row i of a codeword batch is
     already shard i's payload.  Slots, parity closure and repair
     recombination come from the code's own tables (`place`,
-    `close_parity`, `recombine`), as for one matrix.
+    `close_parity`, `SystemParams.repair_table`), as for one matrix.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -335,10 +425,11 @@ class StripedCodec:
         self._decoders: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         # A block's widest float64 operand is its n x (stripes * alpha)
         # codeword product or its d x (stripes * C(d,m-1)) repair product.
-        # Blocks hold whole 8-symbol packing groups (w bytes each), so every
-        # block packs and unpacks on its own.
+        # Blocks hold whole 8-symbol packing groups (w bytes each) of the
+        # file and whole payload bytes of every shard at any payload width,
+        # so every block packs and unpacks on its own.
         widest = max(params.n * params.alpha, params.d * len(params.repair_columns))
-        unit = 8 // math.gcd(self.symbols_per_stripe, 8)
+        unit = 8 // math.gcd(self.symbols_per_stripe, params.alpha, 8)
         self.block_stripes = max(unit, BLOCK_CELLS // widest // unit * unit)
 
     # -- stripe planning ---------------------------------------------------
@@ -371,17 +462,18 @@ class StripedCodec:
     def _payload_blocks(
         self, shards: Sequence[Shard | ShardFile], stripes: int
     ) -> Iterator[np.ndarray]:
-        """Each block's payload rows of ``shards``, (len(shards), b, alpha);
-        the array is reused for the next block."""
-        alpha = self.params.alpha
-        buf = np.empty((len(shards), min(self.block_stripes, stripes), alpha), dtype="<u2")
-        start = 0
+        """Each block's payload rows of ``shards``, one object's, as a
+        (len(shards), b, alpha) uint16 array: read, then decoded and
+        checked in one call for all of them."""
+        alpha, headers = self.params.alpha, [s.header for s in shards]
+        bits = headers[0].payload_bits
+        offset = 0
         for b in self._blocks(stripes):
-            block = buf[:, :b]
-            for shard, rows in zip(shards, block):
-                shard.read_payload(start * alpha, rows)
-            start += b
-            yield block
+            raw = np.empty((len(shards), -(-b * alpha * bits // 8)), dtype=np.uint8)
+            for shard, row in zip(shards, raw):
+                shard.read_payload(offset, row)
+            offset += raw.shape[1]
+            yield _unpack_payload(raw, headers, b * alpha).reshape(len(shards), b, alpha)
 
     # -- batched message algebra -------------------------------------------
 
@@ -427,7 +519,8 @@ class StripedCodec:
     ) -> list[ShardHeader]:
         """Encode a ``length``-byte input, read with ``readinto``: write shard
         i's header, then its rows of every block, to ``outs[i - 1]``, and
-        return the n headers."""
+        return the n headers.  The outputs must be seekable: the headers
+        are written again once the input's digest fixes the object id."""
         params, q = self.params, self.q
         per, nk, w = self.symbols_per_stripe, self.layout.key_count, symbol_width(q)
         packed = -(-8 * length // w)
@@ -435,6 +528,7 @@ class StripedCodec:
         if max(length, stripes * params.alpha) >= 1 << 32:
             raise ValueError(f"a {length}-byte input does not fit the shard format")
         stream = KeyStream(seed, q)  # checks the seed for every layout
+        digest = hashlib.sha256()
         headers = [
             ShardHeader(
                 FORMAT_VERSION,
@@ -452,8 +546,9 @@ class StripedCodec:
             )
             for node in range(1, params.n + 1)
         ]
+        bits = headers[0].payload_bits
         for out, header in zip(outs, headers):
-            out.write(header.to_bytes())
+            out.write(header.to_bytes())  # the object id is filled in at the end
         buf = bytearray(self.block_stripes * per * w // 8)
         done = 0
         for b in self._blocks(stripes):
@@ -462,16 +557,22 @@ class StripedCodec:
             if got != len(view):
                 raise ValueError(f"input ended after {done + got} of {length} bytes")
             done += got
+            digest.update(view)
             secrets = np.zeros((b, per), dtype=np.uint16)
             syms = pack_bytes(view, q)
             secrets.reshape(-1)[: len(syms)] = syms
             keys = stream.draw(b * nk).reshape(b, nk) if nk else np.zeros((b, 0), np.uint16)
             # Row i of the codeword batch is shard i + 1's payload.
             cb = self.encode_batch(self.assemble_batch(secrets, keys)).transpose(1, 0, 2)
-            for out, rows in zip(outs, cb.astype("<u2", copy=False)):
+            for out, rows in zip(outs, _pack_payload(cb.reshape(params.n, -1), bits)):
                 out.write(rows)
         if readinto(memoryview(bytearray(1))):
             raise ValueError(f"input is longer than {length} bytes")
+        oid = _object_id(q, seed, digest.digest())
+        headers = [replace(header, object_id=oid) for header in headers]
+        for out, header in zip(outs, headers):
+            out.seek(0)
+            out.write(header.to_bytes())
         return headers
 
     def _recover(self, shards: Sequence[Shard | ShardFile], out: BinaryIO) -> int:
@@ -488,7 +589,7 @@ class StripedCodec:
                 f"insufficient shards: need {params.d}, got {len(seen)}"
             )
         chosen = list(seen.values())[: params.d]
-        head = chosen[0].header
+        head = _object_header(chosen)
         stripes = self._stripes(head)
         w = symbol_width(q)
         packed = stripes * self.symbols_per_stripe - head.padding_symbols
@@ -516,7 +617,7 @@ class StripedCodec:
         if failed in ids:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
         helpers = sorted(helpers, key=lambda s: s.header.node_id)
-        header = replace(helpers[0].header, node_id=failed)
+        header = replace(_object_header(helpers), node_id=failed)
         stripes = self._stripes(header)
         d, alpha = params.d, params.alpha
         psi_h = self.psi.submatrix(sorted(i - 1 for i in ids), range(d))
@@ -524,11 +625,13 @@ class StripedCodec:
         out.write(header.to_bytes())
         for block in self._payload_blocks(helpers, stripes):
             payloads = _mod(_mat(block.reshape(-1, alpha), xi), self.q)
-            # M @ Xi^f, cell-major; entries stay below 2^49, so the m-term
-            # signed sums of `recombine` cannot overflow int64.
-            mxi = _mat(psi_h_inv, payloads.reshape(d, -1)).astype(np.int64)
-            rows = recombine(mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2), params)
-            out.write(np.ascontiguousarray(rows, dtype="<u2"))
+            # M @ Xi^f, cell-major: entries below d(q-1)^2, so the m-term
+            # signed sums of the repair table stay below m*d*(q-1)^2 < 2^49
+            # in magnitude (d^2 <= MAX_TABLE_CELLS) and `_mod` reduces them.
+            mxi = _mat(psi_h_inv, payloads.reshape(d, -1))
+            cells = mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2)
+            rows = _mod(params.repair_table.signed_sums(cells), self.q)
+            out.write(_pack_payload(rows.reshape(1, -1), header.payload_bits))
         return stripes * d * params.beta
 
     # -- in memory -----------------------------------------------------------
@@ -606,13 +709,27 @@ class StripedCodec:
 # x - q*k is exact as well.  Every operand here is below 2^49.
 
 
+#
+# The same argument holds for negative x with |x| < 2^53 - q: fl(x / q) is
+# again k + r/q rounded, k <= -1 a float64, and half an ulp of k + r/q is
+# below |k| * 2^-53 < 1/q.  `_repair` reduces such signed sums.
+#
+# The byte <-> symbol packing is exact in float64 for the same reason.  A
+# packed symbol or byte is the floor of a sum of at most 8 terms v * 2^e
+# (`_pack_weights`), each a dyadic rational below 2^22 with no bits below
+# 2^-14: a symbol's <= 3 bytes (below 2^8) shifted by -7 <= e <= 14, or a
+# byte's symbols (below 2^15) shifted by -14 <= e <= 7.  Every partial sum
+# is then a multiple of 2^-14 below 2^25, 39 significant bits, so BLAS
+# adds it exactly in any order, and the floor is exact.
+
+
 def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for residue matrices, as exact integers in float64."""
     return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Canonical residues, in float64, of exact integers 0 <= x < 2^53 held
+    """Canonical residues, in float64, of exact integers |x| < 2^53 - q held
     in float64."""
     r = x / q
     np.floor(r, out=r)
@@ -621,8 +738,21 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return r
 
 
-def codec_for_headers(shards: Sequence[Shard | ShardFile]) -> StripedCodec:
-    """Validate header consistency across shards and build their codec."""
+def _floor_mod(x: np.ndarray, mask: int, out: np.ndarray) -> None:
+    """out = floor(x) mod (mask + 1), for 0 <= x < 2^32 held in float64 and
+    a power of two mask + 1 (the cast to uint32 truncates, which is floor)."""
+    np.bitwise_and(x.astype(np.uint32), np.uint32(mask), out=out, casting="unsafe")
+
+
+def _object_id(q: int, seed: int, input_digest: bytes) -> bytes:
+    """SHAKE-256 over a tag, q, the key-stream seed and the input's SHA-256:
+    fixed for a fixed seed and input, distinct across inputs."""
+    material = _OBJECT_ID_TAG + q.to_bytes(4, "little") + seed.to_bytes(32, "little")
+    return hashlib.shake_256(material + input_digest).digest(16)
+
+
+def _object_header(shards: Sequence[Shard | ShardFile]) -> ShardHeader:
+    """The header of the first shard, once every shard agrees with it."""
     if not shards:
         raise ShardFormatError("no shards given")
     head = shards[0].header
@@ -631,4 +761,9 @@ def codec_for_headers(shards: Sequence[Shard | ShardFile]) -> StripedCodec:
             raise ShardFormatError(
                 f"shard for node {s.header.node_id} belongs to a different object"
             )
-    return StripedCodec(head.secure_params())
+    return head
+
+
+def codec_for_headers(shards: Sequence[Shard | ShardFile]) -> StripedCodec:
+    """Validate header consistency across shards and build their codec."""
+    return StripedCodec(_object_header(shards).secure_params())

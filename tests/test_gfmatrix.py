@@ -1,10 +1,11 @@
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcodes.gfmatrix import GFMatrix, SingularMatrixError, echelon_pivots, matmul
+from detcodes.gfmatrix import GFMatrix, SingularMatrixError, _rref, echelon_pivots, matmul, rank_of
 
 
 def rand_matrix(rng, rows, cols, q):
@@ -74,6 +75,18 @@ def test_fields_beyond_the_int64_kernels_refused(q):
                  lambda: matmul(eye, eye, q)):
         with pytest.raises(ValueError, match=r"needs 2 <= q <= 2\^31 \+ 1"):
             call()
+
+
+def test_field_checked_before_reduction():
+    # At q = 0, reducing first would warn (division by zero in remainder)
+    # before the field check raises.
+    eye = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: echelon_pivots(eye, 0), lambda: rank_of(eye, 0),
+                     lambda: _rref(eye, 0), lambda: matmul(eye, eye, 0)):
+            with pytest.raises(ValueError, match=r"GF\(0\) arithmetic needs"):
+                call()
 
 
 def test_rank_examples():

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import re
@@ -30,6 +31,7 @@ from detcodes.shards import (
     FORMAT_VERSION,
     MAX_TABLE_CELLS,
     Shard,
+    ShardFile,
     ShardFormatError,
     ShardHeader,
     StripedCodec,
@@ -132,9 +134,49 @@ def test_unpack_requires_enough_symbols():
 
 
 def test_header_roundtrip():
-    h = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 3, 45, True, 999, 4)
+    oid = bytes(range(16))
+    h = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 3, 45, True, 999, 4, oid)
     assert ShardHeader.from_bytes(h.to_bytes()) == h
-    assert len(h.to_bytes()) == 52
+    assert len(h.to_bytes()) == h.size == 68 and h.to_bytes()[52:] == oid
+    assert (h.payload_bits, h.payload_bytes) == (4, 23)
+    # Version 1: no object id (it reads as zeros), 16-bit symbols.
+    v1 = replace(h, version=1, object_id=bytes(16))
+    assert ShardHeader.from_bytes(v1.to_bytes()) == v1
+    assert len(v1.to_bytes()) == v1.size == 52
+    assert (v1.payload_bits, v1.payload_bytes) == (16, 90)
+    assert not h.compatible_with(v1)
+    assert not h.compatible_with(replace(h, object_id=bytes(16)))
+    assert h.compatible_with(replace(h, node_id=5))
+
+
+@pytest.mark.parametrize(
+    "q,bits", [(2, 1), (3, 2), (11, 4), (17, 8), (251, 8), (257, 16), (65521, 16)],
+    ids=lambda v: str(v),
+)
+def test_payload_roundtrip_at_every_width(tmp_path, q, bits):
+    # b is the smallest of 1, 2, 4, 8 and 16 that holds q - 1.  Symbol i
+    # occupies bits [i*b, (i+1)*b) of the payload, read as a little-endian
+    # bit string, and the last byte's pad bits are zero.
+    rng = np.random.default_rng(q)
+    for count in range(18):
+        header = ShardHeader(FORMAT_VERSION, Scheme.PLAIN, q, 8, 6, 2, 0, 1, count, False, 0, 0)
+        assert header.payload_bits == bits and header.payload_bytes == -(-count * bits // 8)
+        for symbols in (rng.integers(0, q, count), np.full(count, q - 1)):
+            shard = Shard(header, symbols)
+            raw = shard.to_bytes()
+            value = sum(int(v) << (i * bits) for i, v in enumerate(symbols))
+            assert raw[header.size :] == value.to_bytes(header.payload_bytes, "little")
+            back = Shard.from_bytes(raw)
+            assert back.header == header and np.array_equal(back.symbols, symbols)
+            path = tmp_path / "s.detc"
+            write_shard(path, shard)
+            with ShardFile(path) as fh:
+                body = np.empty(header.payload_bytes, dtype=np.uint8)
+                fh.read_payload(0, body)
+                assert body.tobytes() == raw[header.size :]
+                tail = np.empty(header.payload_bytes // 2, dtype=np.uint8)
+                fh.read_payload(header.payload_bytes - len(tail), tail)
+                assert tail.tobytes() == raw[len(raw) - len(tail) :]
 
 
 def test_header_rejects_garbage():
@@ -380,13 +422,29 @@ def test_v1_type_ii_shards_still_recover_and_repair():
 
 
 def test_out_of_field_symbol_rejected_on_read():
+    # At q = 11 a payload byte holds two 4-bit symbols, the first in its low
+    # nibble; 15 fits the nibble but not the field.
     codec = make_codec()
     raw = bytearray(codec.encode_file(b"abc", seed=1, seed_present=True)[0].to_bytes())
-    raw[52:54] = (60000).to_bytes(2, "little")
+    raw[68] = raw[68] & 0xF0 | 0x0F
     with pytest.raises(ShardFormatError, match="outside GF"):
         Shard.from_bytes(bytes(raw))
-    raw[52:54] = (10).to_bytes(2, "little")
+    raw[68] = raw[68] & 0xF0 | 10
     assert Shard.from_bytes(bytes(raw)).symbols[0] == 10
+    raw[69] = 0xB0
+    with pytest.raises(ShardFormatError, match="outside GF"):
+        Shard.from_bytes(bytes(raw))
+
+
+def test_nonzero_pad_bits_rejected_on_read():
+    # 15 symbols of 4 bits fill 8 bytes; the high nibble of the last is pad.
+    codec = make_codec()
+    shard = codec.encode_file(b"abc", seed=1, seed_present=True)[0]
+    raw = bytearray(shard.to_bytes())
+    assert shard.header.payload_symbols == 15 and len(raw) == 68 + 8 and raw[-1] >> 4 == 0
+    raw[-1] |= 0x10
+    with pytest.raises(ShardFormatError, match="nonzero pad bits"):
+        Shard.from_bytes(bytes(raw))
 
 
 @pytest.mark.parametrize("value", [11, 60000, 70000, -1], ids=["q", "below-2^16", "2^16+", "negative"])
@@ -487,6 +545,13 @@ def test_block_loop_matches_one_batch(tmp_path, name, shape):
         out = tmp_path / f"rebuilt_{failed}.detc"
         assert codec.repair_to(failed, helpers, out) == stripes * params.d * params.beta
         assert out.read_bytes() == shards[failed - 1].to_bytes()
+    # And from the shard files, whose blocks are decoded as they are read.
+    with contextlib.ExitStack() as stack:
+        opened = [stack.enter_context(ShardFile(f)) for f in files]
+        assert codec.recover_to([opened[i - 1] for i in readers], tmp_path / "out2.bin") == len(data)
+        assert codec.repair_to(1, opened[1 : params.d + 1], tmp_path / "rebuilt.detc")
+    assert (tmp_path / "out2.bin").read_bytes() == data
+    assert (tmp_path / "rebuilt.detc").read_bytes() == files[0].read_bytes()
 
 
 def test_block_loop_empty_payload_header():
@@ -568,6 +633,7 @@ def test_float_mod_matches_integer_remainder(q, values):
     top = (1 << 49) // q
     edges = [0, 2**49 - 1, 2**49] + [k * q + e for k in (1, 2, top - 1, top) for e in (-1, 0, 1)]
     x = np.array(values + edges, dtype=np.int64)
+    x = np.concatenate([x, -x])  # `_repair` reduces signed sums
     r = _mod(x.astype(np.float64), q)
     assert r.dtype == np.float64
     assert np.array_equal(r, x % q)
@@ -583,42 +649,43 @@ def run_cli(*args):
 # SHA-256 of every shard of `encode --seed 2718` on a 1000-byte input,
 # recorded from an earlier build.  Shard bytes change only on purpose, and
 # these digests change with them.  The keyed layouts were re-pinned for
-# key stream v3; the plain digests, which no key reaches, did not move.
+# key stream v3, and all three for format v2 (object id, b-bit payloads),
+# whose payload symbols and other header fields equal the v1 ones.
 PINNED_ENCODES = {
     "plain-6-4-2-q65521": (
         ["--scheme", "plain", "--n", 6, "--d", 4, "--m", 2, "--q", 65521],
         [
-            "6af14e4ef5a0580bc9417612b9f67436155eb59df3e2c4f2d9c670bcad08d7c2",
-            "c04ad4b37e14f1107be4a38d4e703cf0bbfca837bf1c023d4517d997579b32ee",
-            "514f08d26009bac660e33ef13713c019cd266224efbc34f7f96d8f2a37eab7c7",
-            "fafe148f6cd6e89486b882b6bcd161bdb01bf72a435e27dc071cbe532c421caf",
-            "376541f15ab2207ac3a07887538cc658a676588be72044fba795e3e343a014f4",
-            "762535017b41d0afa9d2ef7fa2cb476d60ec47cebc7f29604997c9f5091c8a3c",
+            "69320c94be5d1b51dd9f0a5015c7de057113370c5a14eda81b501a202b82c42a",
+            "da4f85ca31cfa4d1a7aebc3f7458b2f855ae8cc0695992d7c3f1f0ac7a84ac56",
+            "246b5659ff5dd7583be26237c0285ddfece71814ef9f4633b0d20d3bc82ce9b0",
+            "0d901ea6daf7232293e55eedd068f1fbeb8851e0a13b343048409584b1ff4c49",
+            "e5fd2ec910def611fc14d397dcb5a2632fe0346f8c1903216ba99f60002da1cf",
+            "13890b1d1db9b491bbf5dccb2bcee45665692b7861fe2945e07d5aa5ad4be536",
         ],
     ),
     "type1-7-5-2-ell2-q11": (
         ["--scheme", "type1", "--ell", 2, "--n", 7, "--d", 5, "--m", 2, "--q", 11],
         [
-            "d1903a34a41c6c26e50961e93435de74fe095a45c792dbfcdd5be7841ddb2585",
-            "f73606c420026f76afffb5bb1041893eaa33bfd53358d1defb3de33733cdce3a",
-            "71514fdb5c9d66f19a5e1fa0c2a7b2d60ff36171eb9bf3676747d6afbe72c4d3",
-            "bf73c99c433aa74ea527fe80eb7ea15c846c1bddfbe17418c0dbd39e5fdc9340",
-            "e468e119c539df7d279a0deaec0b41f90eabf51f7851d3f750e847a3500beb75",
-            "afe98a681ec97b91265952208cc6c0a07e9d2d643d0b004668cfe0daebd166ba",
-            "9b8c54cadd6d181cca8a470d79bc468c67a75369dae69ee6226d057d2d7a060f",
+            "3b9b1d106129d032992a7555ad19afff2f27eca8305c36f62dadb63ebcd4304e",
+            "c8639445aa1dbf3ed37ce7273163d695bdc7938c7ff1808cff22e8042ca4e070",
+            "778c1ee3a271013ce83428159bee2132ffa3991b2be3ff0b40cea7d16f6d24e1",
+            "7a563888f24b59017bd79adfdd8a239b2f3994bb758acaf13e619857476e2777",
+            "ebafd7dd0c23dcd54758ca8743a83cc8587007301d30aef20aa6959d0a626e6c",
+            "f71600afa700ec0823ef86b2ed41ea1f76e45bc65d75627b09edfd472736fb48",
+            "406a65992049cd3d45409308ae27e40988931995b095535c6a87b61bd15f5a7e",
         ],
     ),
     "type2-8-6-2-ell2-q11": (
         ["--scheme", "type2", "--ell", 2, "--n", 8, "--d", 6, "--m", 2, "--q", 11],
         [
-            "43395ef045c9358c16c7c74ec969b6dda282d08436a0516a3db3840a4bfeff6c",
-            "7ba6f3f87e9af1400d6ee8ef9fde5450af2976beff36d3a37ef28a21592e2f5f",
-            "51548593282b01c0cf632d0056c85baf54ff1d2e048a2bb56c1e2b95cdc04f84",
-            "5d12a126cd596c8e25bcfa61aeff7dd1b5e5c29bba9cf97de40037c2be880ae2",
-            "70df24a6f92e9ffecf7f43b9e4518b251a1ec085370f6f1351eaf6bc9ee6c986",
-            "04eff34c16ecdea4b93f6f235a53cabccb4028a7a04d693017542437cf01b1f3",
-            "ec1369583031d8cfda33fa5a0a9ff01905ddf4e692b21e1e0eb0bd3e365d84b8",
-            "563a4326731005a072f912499cec3784dfb113212f9818bd59752b74b8f244dc",
+            "61b5829c83bb4c34a375d2af2604308e3cff25c5aa7a9f61dce42169a522210d",
+            "f1c1435aa138a116cc327f7e2a3378c3401c5e91ecc4c2d7cf16b2cde6e3e217",
+            "ff7ef021cacd9c131f0968fd9e86a4e3d2b6432809262e9cd543d149821a733b",
+            "2ca42ae6ebc1ac124ade279f9ad003cbe141dc556d8325383ee48a184ffa83f3",
+            "f6efe759e03f9abf55cb9820e336c44f9048bd767c9de4edd712dfd2dae56ed4",
+            "347b6affea0a9dd5c7a7a93748f413b7151116429063f24eab801fe9b4415581",
+            "9104b1169c18cad452cf010676fe48b62e0f14b9cec0bc27f2b7ee0c75695184",
+            "48c9690d9c6fba6932584d1b6790e282f63be793537b508f534e4fc9e36df275",
         ],
     ),
 }
@@ -826,7 +893,7 @@ def test_cli_out_of_field_shard_exit_code(tmp_path, capsys):
                    "--q", 11, "--seed", 3) == 0
     files = sorted(out.glob("*.detc"))
     raw = bytearray(files[0].read_bytes())
-    raw[-2:] = (60000).to_bytes(2, "little")
+    raw[-1] |= 0x0F  # the low nibble of the last byte holds a symbol
     files[0].write_bytes(bytes(raw))
     capsys.readouterr()
     assert run_cli("recover", *files[:6], "--out", tmp_path / "r.bin") == 2
@@ -903,7 +970,8 @@ def test_cli_partial_stripe_payload_exit_code(tmp_path, capsys, command):
         raw = bytearray(path.read_bytes())
         count = int.from_bytes(raw[36:40], "little")  # the payload_symbols field
         raw[36:40] = (count + 1).to_bytes(4, "little")
-        path.write_bytes(bytes(raw) + b"\0\0")
+        header = ShardHeader.from_bytes(bytes(raw))
+        path.write_bytes(bytes(raw).ljust(header.size + header.payload_bytes, b"\0"))
     capsys.readouterr()
     if command == "recover":
         rc = run_cli("recover", *files[:6], "--out", tmp_path / "r.bin")
@@ -933,10 +1001,21 @@ def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _with_byte(raw, at, value):
+    at %= len(raw)
+    return raw[:at] + bytes([value]) + raw[at + 1 :]
+
+
+# Faults in one v2 shard of a Type-II (q = 11) file: 4-bit symbols, two per
+# byte, the earlier one in the low nibble; the 68-byte header comes first.
+# The payload holds an odd number of symbols, so its last high nibble is pad.
 SHARD_FAULTS = {
-    "truncated": (lambda raw: raw[:-2], "payload is"),
-    "extended": (lambda raw: raw + b"\0\0", "payload is"),
-    "out-of-field-in-last-block": (lambda raw: raw[:-2] + (11).to_bytes(2, "little"), "outside GF(11)"),
+    "truncated": (lambda raw: raw[:-1], "payload is"),
+    "extended": (lambda raw: raw + b"\0", "payload is"),
+    "out-of-field-in-first-block": (lambda raw: _with_byte(raw, 68, raw[68] | 0x0F), "outside GF(11)"),
+    "out-of-field-in-last-block": (lambda raw: _with_byte(raw, -1, raw[-1] | 0x0F), "outside GF(11)"),
+    "nonzero-pad-bits": (lambda raw: _with_byte(raw, -1, raw[-1] | 0x10), "nonzero pad bits"),
+    "v1-shard": (lambda raw: (V1_TYPE2 / "shard_001.detc").read_bytes(), "belongs to a different object"),
 }
 
 
@@ -945,7 +1024,8 @@ SHARD_FAULTS = {
 def test_cli_faulty_shard_leaves_output_untouched(tmp_path, capsys, command, fault):
     data, files = _cli_encoded(tmp_path / "a", 16 * 1024)
     codec = codec_for_headers([read_shard(files[0])])
-    assert read_shard(files[0]).header.payload_symbols > 4 * codec.block_stripes * 15
+    symbols = read_shard(files[0]).header.payload_symbols
+    assert symbols > 4 * codec.block_stripes * 15 and symbols % 2 == 1
     if fault == "mixed-objects":
         _, others = _cli_encoded(tmp_path / "b", 16 * 1024 + 1)
         files[0].write_bytes(others[0].read_bytes())
@@ -965,6 +1045,45 @@ def test_cli_faulty_shard_leaves_output_untouched(tmp_path, capsys, command, fau
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert _tree(tmp_path) == before  # no output replaced, no *.tmp left
+
+
+@pytest.mark.parametrize("command", ["recover", "repair"])
+def test_cli_shards_of_another_file_with_the_same_header_rejected(tmp_path, capsys, command):
+    # Two files of one length, the same flags and seed: every header field
+    # but the object id agrees, so only the id tells their shards apart.
+    shards = {}
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        source = tmp_path / name / "in.bin"
+        source.write_bytes(os.urandom(5000))
+        assert run_cli("encode", source, "--out", tmp_path / name / "s", *TYPE2_FLAGS, "--seed", 1) == 0
+        shards[name] = sorted((tmp_path / name / "s").glob("shard_*.detc"))
+    a, b = (read_shard(shards[name][0]).header for name in "ab")
+    assert a.object_id != b.object_id and replace(a, object_id=b.object_id) == b
+    files = [shards["b"][0], *shards["a"][1:6]]
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier contents")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    if command == "recover":
+        rc = run_cli("recover", *files, "--out", out)
+    else:
+        rc = run_cli("repair", *files, "--failed", 8, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: shard for node 2 belongs to a different object\n"
+    assert _tree(tmp_path) == before
+
+
+def test_cli_type_ii_shards_store_four_bits_per_symbol(tmp_path):
+    # (8,6,2) Type-II at q = 11: 15 symbols per stripe, 4 bits each.
+    data, files = _cli_encoded(tmp_path, 10_000)
+    stripes = -(-(-(-8 * len(data) // 3)) // 20)
+    for path in files:
+        header = read_shard(path).header
+        assert header.version == FORMAT_VERSION == 2 and header.payload_symbols == 15 * stripes
+        assert path.stat().st_size == 68 + -(-stripes * 15 * 4 // 8)
+    total = sum(p.stat().st_size for p in files)
+    assert 7.9 < total / len(data) < 8.1
 
 
 @pytest.mark.parametrize(
