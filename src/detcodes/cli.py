@@ -14,9 +14,10 @@ import sys
 
 from .code import system, vandermonde_encoder
 from .secure import Scheme, SecureParams, _check_ell, build_layout
-from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_sweep
+from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_set_cap, audit_sweep
 from .shards import ShardFile, StripedCodec, codec_for_headers
 from .tradeoff import (
+    MAX_TRADEOFF_D,
     emit_tradeoff_csv,
     pareto_count,
     pareto_points_bruteforce,
@@ -24,10 +25,14 @@ from .tradeoff import (
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept '3', '0..3' (inclusive) or '1,2,5'."""
+    """Accept '3', '0..3' (inclusive) or '1,2,5'.  A range is refused
+    before it is built if it is longer than the d and ell values the
+    trade-off accepts, 0 <= ell <= d <= MAX_TRADEOFF_D."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split("..", 1))
+        if hi - lo >= MAX_TRADEOFF_D + 1:
+            raise ValueError(f"range {text} holds more than {MAX_TRADEOFF_D + 1} values")
+        return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
 
 
@@ -120,24 +125,11 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return 0
 
 
-# Bound on the cells of the audit's view tensor `cell_maps`, d x C(d,m) x F
-# int64 entries: 128 MiB at the bound, about 400 MiB peak with the identity
-# it is built from and the Type-II sweep's key-first copy.  Without it a
-# short command line such as (16,14,7) asks for a 16 GiB array, and
-# (60,50,25) for C(50,25) = 1.3e14 message columns, before any audit.
-_MAX_AUDIT_CELLS = 1 << 24
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     sparams = _secure_params(args)
     base = sparams.base
     d, m, ell = base.d, base.m, sparams.ell
-    cells = d * base.alpha * base.file_size
-    if cells > _MAX_AUDIT_CELLS:
-        raise ValueError(
-            f"(n,d,m) = ({base.n},{d},{m}) needs {cells} audit map cells; "
-            f"the audit limit is {_MAX_AUDIT_CELLS}"
-        )
+    audit_set_cap(sparams, args.max_set_size)  # before anything is built
     layout = build_layout(sparams)
     psi = vandermonde_encoder(base)
     rows = audit_sweep(layout, psi, max_set_size=args.max_set_size)

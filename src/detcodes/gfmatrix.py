@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .gf import check_q_range
+
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
@@ -24,8 +26,7 @@ def _period(q: int) -> int:
     """How many residue products int64 can add to a reduced sum before it
     must reduce again: q + t(q-1)^2 < 2^63 for t = 2^62 // (q-1)^2, which
     is at least 1 exactly when q <= 2^31 + 1 (Dumas, Giorgi & Pernet, TOMS 2008)."""
-    if not 2 <= q <= (1 << 31) + 1:
-        raise ValueError(f"GF({q}) arithmetic needs 2 <= q <= 2^31 + 1")
+    check_q_range(q)
     return (1 << 62) // (q - 1) ** 2
 
 

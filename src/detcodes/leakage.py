@@ -23,8 +23,21 @@ import numpy as np
 
 from .code import SystemParams, close_parity, packet_support_basis, repair_encoder
 from .gfmatrix import GFMatrix, echelon_pivots, matmul, rank_of
-from .secure import MessageLayout, Scheme, place
+from .secure import MessageLayout, Scheme, SecureParams, place
 from .subsets import Subset, binom
+
+# Bounds on an audit's cost, checked by `audit_set_cap` before Psi,
+# `cell_maps` or any view is built.  The view tensor `cell_maps` holds
+# d x C(d,m) x F int64 entries: 128 MiB at the bound, about 400 MiB peak with
+# the identity it is built from and the Type-II sweep's key-first copy.
+# Without it a short command line such as (16,14,7) asks for a 16 GiB array,
+# and (60,50,25) for C(50,25) = 1.3e14 message columns.
+MAX_AUDIT_CELLS = 1 << 24
+# Each eavesdropper set costs one elimination, 15 ms for a Type-II (10,8,3)
+# set on a 2-vCPU VM.  The benchmark's largest sweep is 175 sets and the
+# tests' largest 255; this bound is 16 times that, about a minute of such
+# sets.  Since C(n, 1) = n, it also bounds n, and with it Psi and the n views.
+MAX_AUDIT_SETS = 1 << 12
 
 
 class InconsistentObservationError(ValueError):
@@ -395,22 +408,44 @@ class AuditRow:
 AUDIT_CSV_HEADER = "scheme,L,entropy,leaked,keys_recoverable,key_bound"
 
 
-def audit_sweep(
-    layout: MessageLayout,
-    psi: GFMatrix,
-    max_set_size: int | None = None,
-) -> list[AuditRow]:
-    """Audit every eavesdropper set with |L| <= ell (or the given cap)
-    under the layout's own threat model (contents for Type-I, repair
-    traffic for Type-II; plain layouts audit contents).  The cap, given or
-    ell, must lie in [1, n], so that the sweep audits at least one set."""
-    sp = layout.sparams
+def audit_set_cap(sp: SecureParams, max_set_size: int | None = None) -> int:
+    """The largest set size a sweep audits, the given cap or ell, once the
+    audit fits MAX_AUDIT_CELLS and MAX_AUDIT_SETS.  The cap must lie in
+    [1, n], so that the sweep audits at least one set."""
     params = sp.base
+    cells = params.d * params.alpha * params.file_size
+    if cells > MAX_AUDIT_CELLS:
+        raise ValueError(
+            f"(n,d,m) = ({params.n},{params.d},{params.m}) needs {cells} audit map cells; "
+            f"the audit limit is {MAX_AUDIT_CELLS}"
+        )
     cap = sp.ell if max_set_size is None else max_set_size
     if not 1 <= cap <= params.n:
         raise ValueError(
             f"max set size (default ell) must lie in [1, n={params.n}], got {cap}"
         )
+    sets = 0
+    for size in range(1, cap + 1):  # stops at the first size past the bound
+        sets += binom(params.n, size)
+        if sets > MAX_AUDIT_SETS:
+            raise ValueError(
+                f"sets of up to {cap} of n={params.n} nodes number more than "
+                f"{MAX_AUDIT_SETS}; the audit limit is {MAX_AUDIT_SETS} sets"
+            )
+    return cap
+
+
+def audit_sweep(
+    layout: MessageLayout,
+    psi: GFMatrix,
+    max_set_size: int | None = None,
+) -> list[AuditRow]:
+    """Audit every eavesdropper set with |L| <= `audit_set_cap` (ell or
+    the given cap) under the layout's own threat model (contents for
+    Type-I, repair traffic for Type-II; plain layouts audit contents)."""
+    sp = layout.sparams
+    params = sp.base
+    cap = audit_set_cap(sp, max_set_size)
     maps = cell_maps(layout)
     fs, nk = layout.secret_count, layout.key_count
     # Each node's view is built once per sweep, key first ([M_Q | M_S], the

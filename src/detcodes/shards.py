@@ -146,8 +146,11 @@ class Shard:
     symbols: np.ndarray  # read-only uint16, stripe after stripe
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.symbols)
-        _check_symbols(s, self.header)
+        s, node = np.asarray(self.symbols), self.header.node_id
+        if s.size and s.dtype.kind not in "iu":
+            raise ShardFormatError(f"shard for node {node} holds {s.dtype} symbols, not integers")
+        if s.size and ((s.dtype.kind == "i" and s.min() < 0) or s.max() >= self.header.q):
+            raise ShardFormatError(f"shard for node {node} holds symbols outside GF({self.header.q})")
         s = s.astype(np.uint16, copy=False)
         s.setflags(write=False)
         object.__setattr__(self, "symbols", s)
@@ -211,16 +214,6 @@ def _check_payload_size(header: ShardHeader, body: int) -> None:
         raise ShardFormatError(f"payload is {body} bytes, expected {header.payload_bytes}")
 
 
-def _check_symbols(s: np.ndarray, header: ShardHeader) -> None:
-    """Reject payload symbols that are not integers in [0, q)."""
-    if not s.size:
-        return
-    if s.dtype.kind not in "iu":
-        raise ShardFormatError(f"shard for node {header.node_id} holds {s.dtype} symbols, not integers")
-    if (s.dtype.kind == "i" and s.min() < 0) or s.max() >= header.q:
-        raise ShardFormatError(f"shard for node {header.node_id} holds symbols outside GF({header.q})")
-
-
 @contextlib.contextmanager
 def _replacing(paths: Sequence[Path]) -> Iterator[list[io.BufferedWriter]]:
     """Open a temp file beside each path for writing.  On success rename each
@@ -246,28 +239,27 @@ def _replacing(paths: Sequence[Path]) -> Iterator[list[io.BufferedWriter]]:
 def _unpack_payload(raw: np.ndarray, headers: Sequence[ShardHeader], count: int) -> np.ndarray:
     """Decode and check rows of packed payload bytes, row i from the shard
     of ``headers[i]``, all of one object: the first ``count`` symbols of
-    each row, as a (rows, count) uint16 array.  The rest, the pad bits of a
-    payload's last byte, must be zero, and every symbol must lie below q."""
+    each row, as a (rows, count) array, uint8 at b <= 8 and uint16 at
+    b = 16.  The rest, the pad bits of a payload's last byte, must be zero,
+    and every symbol must lie below q; an error names the first bad row."""
     bits = headers[0].payload_bits
     if bits == 16:
         syms = raw.view("<u2")
-    elif bits == 1:
-        syms = np.unpackbits(raw, axis=-1, bitorder="little").astype(np.uint16)
     else:
         # The inverse of `_pack_payload`'s folds: each byte widens to a word
-        # of 8/bits 16-bit symbols, halving the groups of symbols each step.
+        # of 8/bits byte lanes, halving the groups of symbols each step.
         per = 8 // bits
-        words = raw.astype(f"<u{2 * per}")
+        words = raw.astype(f"<u{per}", copy=False)
         for level in reversed(range(per.bit_length() - 1)):
-            words |= words << words.dtype.type((16 - bits) << level)
+            words |= words << words.dtype.type((8 - bits) << level)
             group = (1 << (bits << level)) - 1
-            words &= words.dtype.type(sum(group << k for k in range(0, 16 * per, 16 << level)))
-        syms = words.view("<u2")
-    pad = syms[:, count:].any(axis=1)
-    if pad.any():
-        raise ShardFormatError(f"shard for node {headers[pad.argmax()].node_id} has nonzero pad bits")
-    for header, row in zip(headers, syms[:, :count]):
-        _check_symbols(row, header)
+            words &= words.dtype.type(sum(group << k for k in range(0, 8 * per, 8 << level)))
+        syms = words.view(np.uint8)
+    q = headers[0].q
+    pad, high = syms[:, count:].any(axis=1), syms[:, :count].max(axis=1, initial=0) >= q
+    for bad, fault in ((pad, "has nonzero pad bits"), (high, f"holds symbols outside GF({q})")):
+        if bad.any():
+            raise ShardFormatError(f"shard for node {headers[bad.argmax()].node_id} {fault}")
     return syms[:, :count]
 
 
@@ -276,18 +268,17 @@ def _pack_payload(symbols: np.ndarray, bits: int) -> np.ndarray:
     ceil(count * bits / 8) payload bytes, zero pad bits included."""
     if bits == 16:
         return symbols.astype("<u2", copy=False).view(np.uint8)
-    if bits == 1:
-        return np.packbits(symbols.astype(np.uint8), axis=-1, bitorder="little")
     per = 8 // bits
     rows, count = symbols.shape
-    padded = np.zeros((rows, -(-count // per) * per), dtype="<u2")
-    padded[:, :count] = symbols
-    # Each word holds `per` 16-bit symbols; every fold halves the distance
-    # between neighbours, until symbol j sits at bit j*bits of the low byte.
-    words = padded.view(f"<u{2 * per}")
+    lanes = np.zeros((rows, -(-count // per) * per), dtype=np.uint8)
+    lanes[:, :count] = symbols
+    # Each word holds `per` byte-wide lanes, one symbol each; every fold
+    # halves the distance between neighbours, until symbol j sits at bit
+    # j*bits of the low byte (b = 8 needs no fold).
+    words = lanes.view(f"<u{per}")
     for level in range(per.bit_length() - 1):
-        words |= words >> words.dtype.type((16 - bits) << level)
-    return words.astype(np.uint8)
+        words |= words >> words.dtype.type((8 - bits) << level)
+    return words.astype(np.uint8, copy=False)
 
 
 def write_shard(path: str | Path, shard: Shard) -> None:
@@ -412,7 +403,7 @@ class StripedCodec:
         # are below q < 2^16 and inner dimensions (d, alpha) at most 2^17,
         # so partial sums stay below 2^49 < 2^53 (see `_mat`).
         if self.q >= 1 << 16:
-            raise ValueError("shard format stores 2-byte symbols; need q < 2^16")
+            raise ValueError("shard symbols are at most 16 bits wide; need q < 2^16")
         cells = params.d * max(params.alpha, params.n)
         if cells > MAX_TABLE_CELLS:
             raise ValueError(
@@ -463,8 +454,8 @@ class StripedCodec:
         self, shards: Sequence[Shard | ShardFile], stripes: int
     ) -> Iterator[np.ndarray]:
         """Each block's payload rows of ``shards``, one object's, as a
-        (len(shards), b, alpha) uint16 array: read, then decoded and
-        checked in one call for all of them."""
+        (len(shards), b, alpha) array of symbols (`_unpack_payload`): read,
+        then decoded and checked in one call for all of them."""
         alpha, headers = self.params.alpha, [s.header for s in shards]
         bits = headers[0].payload_bits
         offset = 0
@@ -707,8 +698,6 @@ class StripedCodec:
 # (k + 1) - (k + r/q) = (q - r)/q >= 1/q, while half an ulp of k is at most
 # k * 2^-53 < 1/q whenever kq < 2^53.  So floor(fl(x / q)) = k, and
 # x - q*k is exact as well.  Every operand here is below 2^49.
-
-
 #
 # The same argument holds for negative x with |x| < 2^53 - q: fl(x / q) is
 # again k + r/q rounded, k <= -1 a float64, and half an ulp of k + r/q is

@@ -22,6 +22,19 @@ from typing import Iterable, Iterator, Sequence
 from .secure import Scheme, ell_range, secret_capacity
 from .subsets import binom
 
+# Bounds on the analytics, both checked before any point is computed.  The
+# hull oracle (`pareto_modes`) compares every pair of modes in exact
+# rationals, so its cost grows with d^2: `pareto --d 1000` takes 3.1 s on a
+# 2-vCPU VM.  A table row costs up to 1.5 ms there (9000 rows at d = 1000
+# and three ells take 13.5 s), so a table has at most about 15 s of rows.
+MAX_TRADEOFF_D = 1000
+MAX_TRADEOFF_ROWS = 10_000
+
+
+def _check_d(d: int) -> None:
+    if d > MAX_TRADEOFF_D:
+        raise ValueError(f"d={d} is above the trade-off limit d <= {MAX_TRADEOFF_D}")
+
 
 @dataclass(frozen=True)
 class TradeoffPoint:
@@ -84,6 +97,7 @@ def pareto_modes(d: int, ell: int, scheme: Scheme) -> frozenset[int]:
     Modes with zero secret capacity have no normalized pair and are
     excluded outright.
     """
+    _check_d(d)
     pts: list[tuple[Fraction, Fraction, int]] = []
     for m in range(1, d + 1):
         fs = secret_capacity(d, ell, m, scheme)
@@ -217,11 +231,19 @@ def emit_tradeoff_csv(
     schemes: Sequence[Scheme],
 ) -> Iterator[str]:
     """One row per (scheme, d, ell, m); normalized values both as decimals
-    with 12 significant digits and as exact p/q strings."""
+    with 12 significant digits and as exact p/q strings.  A table of more
+    than MAX_TRADEOFF_ROWS requested rows (sum of d, times the ells and
+    schemes), or with a d above MAX_TRADEOFF_D, is refused before any row."""
+    ds, ells = list(d_values), list(ell_values)
+    _check_d(max(ds, default=0))
+    rows = sum(max(d, 0) for d in ds) * len(ells) * len(schemes)
+    if rows > MAX_TRADEOFF_ROWS:
+        raise ValueError(
+            f"the table asks for up to {rows} rows; the trade-off limit is {MAX_TRADEOFF_ROWS}"
+        )
     yield TRADEOFF_CSV_HEADER
-    ells = list(ell_values)
     for scheme in schemes:
-        for d in d_values:
+        for d in ds:
             for ell in ells:
                 if ell not in ell_range(scheme, d):
                     continue

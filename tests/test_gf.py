@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from detcodes.gf import Field, smallest_prime_gt
@@ -27,6 +29,22 @@ def test_field_requires_prime_modulus():
     for bad in (1, 4, 9, 15, 100):
         with pytest.raises(ValueError):
             Field(bad)
+
+
+def test_field_range_checked_before_trial_division():
+    # 2^61 - 1 and 2^31 + 11 are prime, but past the int64 bound 2^31 + 1;
+    # unbounded trial division would take minutes on the first.  No prime
+    # lies in (2^31, 2^31 + 1], so no default q exists for n >= 2^31.
+    start = time.perf_counter()
+    for q in (2**61 - 1, 2**31 + 11, 0, 1):
+        with pytest.raises(ValueError, match=r"needs 2 <= q <= 2\^31 \+ 1"):
+            Field(q)
+    for n in (2**31, 10**12):
+        with pytest.raises(ValueError, match=r"needs 2 <= q <= 2\^31 \+ 1"):
+            smallest_prime_gt(n)
+    assert Field(2**31 - 1).q == 2**31 - 1
+    assert smallest_prime_gt(2**31 - 2) == 2**31 - 1
+    assert time.perf_counter() - start < 1
 
 
 def inverse(a, q):

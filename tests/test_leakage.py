@@ -12,7 +12,9 @@ from detcodes.code import (
 from detcodes.gfmatrix import rank_of
 from detcodes.leakage import (
     InconsistentObservationError,
+    MAX_AUDIT_SETS,
     audit_passes,
+    audit_set_cap,
     audit_sweep,
     cell_maps,
     decode_keys_type_i,
@@ -458,6 +460,19 @@ def test_audit_sweep_builds_each_node_view_once(monkeypatch, scheme, builder):
     monkeypatch.setattr(leakage, builder, counted)
     assert audit_sweep(lay, psi) == expected
     assert len(expected) == 7 + 21 and len(calls) == 7
+
+
+def test_audit_set_count_bounded_before_anything_is_built(monkeypatch):
+    # C(90,1) + C(90,2) = 4095 sets fit; at n = 91 there are 4186.
+    assert MAX_AUDIT_SETS == 4096
+    assert audit_set_cap(SecureParams(system(90, 5, 2), 2, Scheme.TYPE_II)) == 2
+    ps = system(91, 5, 2)
+    lay = build_layout(SecureParams(ps, 2, Scheme.TYPE_II))
+    monkeypatch.setattr(leakage, "cell_maps", lambda *a: pytest.fail("maps built"))
+    with pytest.raises(ValueError, match="audit limit is 4096 sets"):
+        audit_sweep(lay, vandermonde_encoder(ps))
+    with pytest.raises(ValueError, match="audit limit is 4096 sets"):
+        audit_set_cap(SecureParams(system(5000, 5, 2), 1, Scheme.TYPE_I))
 
 
 @pytest.mark.parametrize("cap", [-1, 0, 8, None])

@@ -939,22 +939,58 @@ def test_cli_hostile_header_rejected_quickly(tmp_path, capsys, n, d, m, q):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags,message",
     [
-        ("--n", 16, "--d", 14, "--m", 7, "--scheme", "type1", "--ell", 2),
-        ("--n", 60, "--d", 50, "--m", 25),
+        (("--n", 16, "--d", 14, "--m", 7, "--scheme", "type1", "--ell", 2), "audit limit is 16777216"),
+        (("--n", 60, "--d", 50, "--m", 25), "audit limit is 16777216"),
+        (("--n", 3000, "--d", 6, "--m", 2, "--scheme", "type1", "--ell", 3), "audit limit is 4096 sets"),
+        (("--n", 10**9, "--d", 6, "--m", 2, "--scheme", "type1", "--ell", 1), "audit limit is 4096 sets"),
+        (("--n", 10**12, "--d", 6, "--m", 2, "--scheme", "type1", "--ell", 1), "needs 2 <= q <= 2^31 + 1"),
+        (("--n", 8, "--d", 6, "--m", 2, "--q", 2**61 - 1), "needs 2 <= q <= 2^31 + 1"),
     ],
-    ids=["cell-maps", "fill-order"],
+    ids=["cell-maps", "fill-order", "sets", "nodes", "default-q", "huge-q"],
 )
-def test_cli_audit_oversized_code_rejected_quickly(capsys, flags):
+def test_cli_audit_oversized_code_rejected_quickly(capsys, flags, message):
     # d*C(d,m)*F cells: 2.2e9 int64 entries (16 GiB) at (16,14,7), and
-    # C(50,25) = 1.3e14 fill-order cells at (60,50,25).
+    # C(50,25) = 1.3e14 fill-order cells at (60,50,25); C(3000,3) = 4.5e9
+    # sets, or 10^9 one-node sets (a 7 TiB Psi); no prime q above n = 10^12
+    # that int64 arithmetic can hold; and a prime q = 2^61 - 1 refused
+    # before it is tested for primality.
     start = time.perf_counter()
     assert run_cli("audit", *flags) == 2
     assert time.perf_counter() - start < 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and "audit limit is 16777216" in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("encode", "in.bin", "--out", "sh", "--n", 8, "--d", 6, "--m", 2, "--q", 2**61 - 1),
+         "needs 2 <= q <= 2^31 + 1"),
+        (("encode", "in.bin", "--out", "sh", "--n", 10**12, "--d", 6, "--m", 2),
+         "needs 2 <= q <= 2^31 + 1"),
+        (("pareto", "--d", 100000, "--ell", 0, "--scheme", "type1"), "trade-off limit d <= 1000"),
+        (("pareto", "--d", 100000, "--ell", 2), "trade-off limit d <= 1000"),
+        (("tradeoff", "--d", "1..1000000000", "--ell", 0), "holds more than 1001 values"),
+        (("tradeoff", "--d", "6", "--ell", "0..1000000000"), "holds more than 1001 values"),
+        (("tradeoff", "--d", "1001", "--ell", 0), "trade-off limit d <= 1000"),
+        (("tradeoff", "--d", "1..1000", "--ell", 0), "trade-off limit is 10000"),
+    ],
+    ids=["encode-huge-q", "encode-default-q", "pareto-type1", "pareto-type2",
+         "tradeoff-d-range", "tradeoff-ell-range", "tradeoff-d", "tradeoff-rows"],
+)
+def test_cli_oversized_request_rejected_quickly(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.bin").write_bytes(b"hello")
+    start = time.perf_counter()
+    assert run_cli(*argv) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
 @pytest.mark.parametrize("command", ["recover", "repair"])
@@ -1012,27 +1048,44 @@ def _with_byte(raw, at, value):
 SHARD_FAULTS = {
     "truncated": (lambda raw: raw[:-1], "payload is"),
     "extended": (lambda raw: raw + b"\0", "payload is"),
-    "out-of-field-in-first-block": (lambda raw: _with_byte(raw, 68, raw[68] | 0x0F), "outside GF(11)"),
-    "out-of-field-in-last-block": (lambda raw: _with_byte(raw, -1, raw[-1] | 0x0F), "outside GF(11)"),
-    "nonzero-pad-bits": (lambda raw: _with_byte(raw, -1, raw[-1] | 0x10), "nonzero pad bits"),
+    "out-of-field-in-first-block": (
+        lambda raw: _with_byte(raw, 68, raw[68] | 0x0F), "holds symbols outside GF(11)"
+    ),
+    "out-of-field-in-last-block": (
+        lambda raw: _with_byte(raw, -1, raw[-1] | 0x0F), "holds symbols outside GF(11)"
+    ),
+    "nonzero-pad-bits": (lambda raw: _with_byte(raw, -1, raw[-1] | 0x10), "has nonzero pad bits"),
     "v1-shard": (lambda raw: (V1_TYPE2 / "shard_001.detc").read_bytes(), "belongs to a different object"),
 }
 
 
+# Block decoding checks every shard's rows of a block at once, so a fault
+# must name its own node whether its shard is read first or later: node 1
+# is read first by both commands, node 4 fourth.
+NAMED_FAULTS = ["out-of-field-in-first-block", "out-of-field-in-last-block", "nonzero-pad-bits"]
+
+
 @pytest.mark.parametrize("command", ["recover", "repair"])
-@pytest.mark.parametrize("fault", [*SHARD_FAULTS, "mixed-objects"])
-def test_cli_faulty_shard_leaves_output_untouched(tmp_path, capsys, command, fault):
+@pytest.mark.parametrize(
+    "fault,node",
+    [pytest.param(fault, 1, id=fault) for fault in [*SHARD_FAULTS, "mixed-objects"]]
+    + [pytest.param(fault, 4, id=f"{fault}-node4") for fault in NAMED_FAULTS],
+)
+def test_cli_faulty_shard_leaves_output_untouched(tmp_path, capsys, command, fault, node):
     data, files = _cli_encoded(tmp_path / "a", 16 * 1024)
     codec = codec_for_headers([read_shard(files[0])])
     symbols = read_shard(files[0]).header.payload_symbols
     assert symbols > 4 * codec.block_stripes * 15 and symbols % 2 == 1
+    bad = files[node - 1]
     if fault == "mixed-objects":
         _, others = _cli_encoded(tmp_path / "b", 16 * 1024 + 1)
-        files[0].write_bytes(others[0].read_bytes())
+        bad.write_bytes(others[0].read_bytes())
         message = "belongs to a different object"
     else:
         corrupt, message = SHARD_FAULTS[fault]
-        files[0].write_bytes(corrupt(files[0].read_bytes()))
+        bad.write_bytes(corrupt(bad.read_bytes()))
+    if fault in NAMED_FAULTS:
+        message = f"shard for node {node} {message}"
     out = tmp_path / "out"
     out.write_bytes(b"earlier contents")
     before = _tree(tmp_path)

@@ -5,6 +5,8 @@ import pytest
 from detcodes.secure import Scheme, secret_capacity
 from detcodes.subsets import binom
 from detcodes.tradeoff import (
+    MAX_TRADEOFF_D,
+    MAX_TRADEOFF_ROWS,
     TRADEOFF_CSV_HEADER,
     cutset_bound,
     emit_tradeoff_csv,
@@ -208,3 +210,14 @@ def test_point_validation():
         point(6, -1, 1, Scheme.TYPE_I)
     with pytest.raises(ValueError):
         pareto_count(6, -1)
+
+
+def test_tradeoff_bounds_refused_before_any_row():
+    with pytest.raises(ValueError, match="d <= 1000"):
+        pareto_points_bruteforce(MAX_TRADEOFF_D + 1, 0, Scheme.PLAIN)
+    with pytest.raises(ValueError, match="d <= 1000"):
+        next(emit_tradeoff_csv([6, MAX_TRADEOFF_D + 1], [0], [Scheme.PLAIN]))
+    # sum(1..141) = 10011 requested rows, one ell, one scheme.
+    with pytest.raises(ValueError, match=f"limit is {MAX_TRADEOFF_ROWS}"):
+        next(emit_tradeoff_csv(range(1, 142), [0], [Scheme.PLAIN]))
+    assert len(list(emit_tradeoff_csv(range(1, 141), [0], [Scheme.PLAIN]))) == 1 + 9870
