@@ -14,6 +14,7 @@ import pytest
 from detcodes.code import close_parity, parity_partners, recombine, system
 from detcodes.leakage import cell_maps
 from detcodes.secure import Scheme, SecureParams, assemble, build_layout, place
+from detcodes.shards import StripedCodec
 from detcodes.subsets import ind
 
 FIELDS = [11, 65521, 2**31 - 1]
@@ -133,3 +134,20 @@ def test_recombination_matches_per_cell_reference(q):
 def test_cell_maps_match_slot_by_slot_reference(q):
     for layout in all_layouts(q):
         assert np.array_equal(cell_maps(layout), cell_maps_slotwise(layout))
+
+
+def test_codec_batches_match_single_matrix_assembly():
+    # The striped codec's blocks, at 1 and at 3 stripes, against `assemble`
+    # stripe by stripe.  The codec takes residues: packed and key-stream
+    # symbols are below q by construction.
+    q = 11
+    rng = np.random.default_rng(q)
+    for layout in all_layouts(q):
+        codec = StripedCodec(layout.sparams)
+        for stripes in (1, 3):
+            secrets = rng.integers(0, q, (stripes, layout.secret_count), dtype=np.uint16)
+            keys = rng.integers(0, q, (stripes, layout.key_count), dtype=np.uint16)
+            batch = codec.assemble_batch(secrets, keys)
+            assert batch.shape == (stripes, layout.sparams.base.d, layout.sparams.base.alpha)
+            for b in range(stripes):
+                assert np.array_equal(batch[b], assemble(layout, secrets[b], keys[b]).a)

@@ -701,6 +701,77 @@ def test_fixed_seed_encode_output_is_pinned(tmp_path, name):
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
 
 
+# SHA-256 of every shard of `encode --seed 2718` on an input of two full
+# blocks and a short third one (`StripedCodec.block_stripes`), recorded
+# from an earlier build: the block loop's bytes, held to a fixed reference.
+# Each entry: CLI flags, (n, d, m, scheme, ell, q), input length, digests.
+MULTI_BLOCK_ENCODES = {
+    "type2-8-6-2-ell2-q11": (
+        ["--scheme", "type2", "--ell", 2, "--n", 8, "--d", 6, "--m", 2, "--q", 11],
+        (8, 6, 2, Scheme.TYPE_II, 2, 11),
+        2 * 4080 + 1700,
+        [
+            "a15ba9ff673c65543f0bd0f6300c9b376003dff563e3ec7042c256f39d688dc8",
+            "d064bb821fcd204092cd33fc23e12a1fde5177c775b1f5d3ebeade490abd41d6",
+            "44bd413b74032e8e2cb23d47affbeb732e16ffbe2131f25802f0697b8b099d77",
+            "a36b94477c954529e42eaf238bbbe3e7ec32777fb6741c5d2cff71d1762bd5f9",
+            "f2c72b52a95057dabbf57dfc2b43dd269d5f633b13dd76773fe23d1894efebbd",
+            "903241994019058e2a8464c6a56d5f71309380b5cc09fc782caaa82ed5607a7a",
+            "c9ad7bca40bde8812a25f1c5ade20e4dde2d89280d176aa7b9e2a88f3525fa33",
+            "f50208e0377f2ca2ac6ffdfe8db45b054e5a17cf6262368c0e2af1fde7f97879",
+        ],
+    ),
+    "plain-14-12-4-q65521": (
+        ["--scheme", "plain", "--n", 14, "--d", 12, "--m", 4, "--q", 65521],
+        (14, 12, 4, Scheme.PLAIN, 0, 65521),
+        2 * 77220 + 40000,
+        [
+            "8f99f5f73006a01a8e50249b0e54c17d5c82ebd2e3814fdabc50aee2c26f8fde",
+            "b690588317b068b880be3499dba6f0a1d430d8b8dfa5c7093e34addcaa162032",
+            "8b1d5da9ddd41820aec7049c58e6da43aec53f3f758866d4c30c13fa97a65585",
+            "55947c5112d20ba1932b03eeda217af2cf997f329e6c43ee08ea8906269549d2",
+            "748059123570bec05865e82c433f9101d4b93f65fda42b9c1323570a5d06f600",
+            "c8a080641ed588feed65aad91591c6778f15c0b04d594cd53247c828c9ab6dd2",
+            "a57868a5d611c5494b452f749d4132745dda78e0cfb23fafef2e5f2ad3013f4f",
+            "9d56b8b5071901c50c71b90550722bba38ae781fcd413e040492d99f38cbbf4c",
+            "16a5396b6e871bd4c47cb9f8eb9b66411569cf6c8e6a5306e54bf84f8358c307",
+            "af4e0a14eb36a9dc73d625973d7a1f28036401e3f9cc4574298832cbf36c09fa",
+            "21e4d1b9984e2f9ab59cb7f8997a13d4cb590973fb9adf2514c2afd7c48b02a2",
+            "2bd8177357e72cd860547ba79adf0b86f010e0d633f3139ec31f795dde143797",
+            "308ba0ddee045b83682ffe58918bb71cc38345cd36e29d26b26b41fea78efea4",
+            "3af8c4148b60ec215d5822a19b47eaa28d0587253980e03fb5bd108e9ec98718",
+        ],
+    ),
+    "type1-7-5-2-ell2-q11": (
+        ["--scheme", "type1", "--ell", 2, "--n", 7, "--d", 5, "--m", 2, "--q", 11],
+        (7, 5, 2, Scheme.TYPE_I, 2, 11),
+        2 * 7020 + 2900,
+        [
+            "cd6bc9f2513024d921967890a9aa37daa668636ba886fcfb1605d8d14b0e949c",
+            "6a3bed4fee41fa72d0c047913b69b5d757974e512a3e2e064180de670272a46c",
+            "10c7e74af871ecbb62700fd11028c58321c6309aa430f422830a323341c604a3",
+            "fdf23d99ed1d76c69879ecb4e0a4d2550fcf6d069852fb745ef9ac5dd7ea1055",
+            "0715f90157567d95dd73c67321dccb056574404e46c7d24b1e4ad39e04ad115d",
+            "d5d3174e3a4f11ab2043caa0e07dce72254d0c8440e02c0411e097135530b0e2",
+            "30961a94261b81b7f966fac0ee6c68c50994258e242dbf500ffb29d27861de5f",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_BLOCK_ENCODES))
+def test_fixed_seed_multi_block_encode_is_pinned(tmp_path, name):
+    flags, (n, d, m, scheme, ell, q), length, digests = MULTI_BLOCK_ENCODES[name]
+    codec = StripedCodec(SecureParams(system(n, d, m, q), ell, scheme))
+    block_bytes = codec.block_stripes * codec.symbols_per_stripe * symbol_width(q) // 8
+    assert 2 * block_bytes < length < 3 * block_bytes
+    source = tmp_path / "input.bin"
+    source.write_bytes(hashlib.shake_256(name.encode()).digest(length))
+    assert run_cli("encode", source, "--out", tmp_path / "shards", *flags, "--seed", 2718) == 0
+    shards = sorted((tmp_path / "shards").glob("shard_*.detc"))
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
+
+
 def test_cli_encode_recover_repair(tmp_path):
     data = bytes(np.random.default_rng(1).integers(0, 256, 4096, dtype=np.uint8))
     inp = tmp_path / "in.bin"
