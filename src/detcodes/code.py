@@ -8,9 +8,10 @@ forms a parity group whose m+1 cells satisfy an alternating-sign equation.
 Node i stores row i of Psi @ M for an n x d Vandermonde encoder Psi.
 
 Three index tables on SystemParams fix the matrix: the fill order, the
-parity groups and the repair recombination.  `close_parity` and
-`recombine` apply them to batches of matrices; every single-matrix call
-is a batch of one, and the striped file codec uses the same functions.
+parity groups and the repair recombination.  `secure.assemble_rows`
+builds batches of message matrices from the first two, by one gather,
+and `recombine` applies the third; every single-matrix call is a batch
+of one, and the striped file codec uses the same functions.
 
 Conventions used throughout the package: node ids and subset elements are
 1-based (matching the matrix-row labels), all numpy indices are 0-based,
@@ -167,16 +168,8 @@ def parity_partners(x: int, I: Subset) -> list[tuple[int, int, Subset]]:
     return [((-1) ** (len(I) + k + 1), y, J[:k] + J[k + 1 :]) for k, y in enumerate(I)]
 
 
-# -- the table-driven core: every function takes (..., d, cols) batches of any
-# integer dtype, so a single matrix is a batch of one.
-
-
-def close_parity(mb: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Fill the P cells of a (..., d, alpha) batch whose V/W cells are set,
-    in place, and return the batch."""
-    (rows, cols), partners = params.parity_table
-    mb[..., rows, cols] = partners.sums(mb, params.q)
-    return mb
+# -- repair recombination: it takes (..., d, cols) batches of any integer
+# dtype, so a single matrix is a batch of one.
 
 
 def recombine(mxi: np.ndarray, params: SystemParams) -> np.ndarray:

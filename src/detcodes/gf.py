@@ -8,11 +8,17 @@ system size below 2^31 without extension-field arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-# The largest modulus whose int64 arithmetic stays exact (`gfmatrix._period`);
-# it also caps `is_prime`'s trial division at about 23,000 steps.
+# The largest modulus whose int64 arithmetic stays exact (`gfmatrix._period`).
 MAX_Q = (1 << 31) + 1
+
+# Miller-Rabin to the twelve prime bases 2..37 has no strong pseudoprime
+# below psi_12 = 318665857834031151167461, about 3.2e23 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
 
 
 def check_q_range(q: int) -> None:
@@ -22,18 +28,28 @@ def check_q_range(q: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test: about sqrt(n)/2 divisions."""
+    """Deterministic Miller-Rabin primality test to the bases 2..37: exact
+    for n below 3.2e23 (`_MR_LIMIT`), at most twelve modular powers; a
+    larger n is refused with ValueError."""
+    n = operator.index(n)
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

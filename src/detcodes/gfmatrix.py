@@ -45,6 +45,24 @@ def matmul(a: object, b: object, q: int) -> np.ndarray:
     return out
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """Canonical residues, in float64, of integers |x| < 2^53 - q held
+    exactly in float64 or in an integer dtype.
+
+    With x = kq + r (0 <= r < q), fl(x / q) is k + r/q rounded to nearest,
+    which is at least k, because k is a float64 and rounding is monotonic.
+    It cannot reach k + 1: (k + 1) - (k + r/q) = (q - r)/q >= 1/q, while
+    half an ulp of k is at most |k| * 2^-53 < 1/q whenever |kq| < 2^53; the
+    same holds for negative x, with k <= -1.  So floor(fl(x / q)) = k, and
+    x - q*k is exact as well.
+    """
+    r = x / q
+    np.floor(r, out=r)
+    r *= q
+    np.subtract(x, r, out=r)
+    return r
+
+
 def _residues(a: object, q: int) -> np.ndarray:
     """``a`` mod q as int64, once `_period` has accepted q (before ``%``,
     which would warn at q = 0)."""

@@ -21,15 +21,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .code import SystemParams, close_parity, packet_support_basis, repair_encoder
+from .code import SystemParams, packet_support_basis, repair_encoder
 from .gfmatrix import GFMatrix, echelon_pivots, matmul, rank_of
-from .secure import MessageLayout, Scheme, SecureParams, place
+from .secure import MessageLayout, Scheme, SecureParams, assemble_rows
 from .subsets import Subset, binom
 
 # Bounds on an audit's cost, checked by `audit_set_cap` before Psi,
 # `cell_maps` or any view is built.  The view tensor `cell_maps` holds
-# d x C(d,m) x F int64 entries: 128 MiB at the bound, about 400 MiB peak with
-# the identity it is built from and the Type-II sweep's key-first copy.
+# d x C(d,m) x F int64 entries: 128 MiB at the bound, and about twice that
+# at peak, with the identity stack it is gathered from or, later, the
+# Type-II sweep's key-first copy.
 # Without it a short command line such as (16,14,7) asks for a 16 GiB array,
 # and (60,50,25) for C(50,25) = 1.3e14 message columns.
 MAX_AUDIT_CELLS = 1 << 24
@@ -56,14 +57,11 @@ class LinearObservation:
 def cell_maps(layout: MessageLayout) -> np.ndarray:
     """Tensor T of shape (d, alpha, F_s + |Q|): T[x-1, col(I)] expresses
     cell (x, I) of the message matrix as a vector over (secrets, keys).
-    It is the message matrix of unit secrets and keys, one per slot."""
+    It is the cell-major message batch of unit secrets and keys, one per
+    slot: the identity batch."""
     params = layout.sparams.base
-    fs = layout.secret_count
-    total = fs + layout.key_count
-    T = np.zeros((params.d, params.alpha, total), dtype=np.int64)
-    unit = np.eye(total, dtype=np.int64)
-    close_parity(place(T.transpose(2, 0, 1), layout, unit[:, :fs], unit[:, fs:]), params)
-    return T
+    total = layout.secret_count + layout.key_count
+    return assemble_rows(layout, np.eye(params.d * params.alpha, total, dtype=np.int64))
 
 
 def _node_set(L: Iterable[int], params: SystemParams) -> list[int]:

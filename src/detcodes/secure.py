@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import SystemParams, close_parity, info_cells, read_only
-from .gfmatrix import GFMatrix
+from .code import SystemParams, info_cells, read_only
+from .gfmatrix import GFMatrix, _mod
 from .subsets import Subset, binom
 
 
@@ -137,6 +137,22 @@ class MessageLayout:
     def key_cells(self) -> tuple[tuple[int, Subset], ...]:
         return tuple(c for c, s in zip(info_cells(self.sparams.base), self._is_secret) if not s)
 
+    @cached_property
+    def gather_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tables of `assemble_rows`, over the d*alpha stacked rows
+        [secrets; keys; parity sums]: the (d, alpha) row of every cell, and
+        each parity sum's m partner rows and float64 signs (`parity_table`);
+        partners are always secret or key rows."""
+        params = self.sparams.base
+        (prows, pcols), partners = params.parity_table
+        row = np.empty((params.d, params.alpha), dtype=np.intp)
+        free = len(self._is_secret)
+        row[self.secret_index] = np.arange(self.secret_count)
+        row[self.key_index] = np.arange(self.secret_count, free)
+        row[prows, pcols] = np.arange(free, row.size)
+        signs = partners.signs.astype(np.float64)
+        return read_only(row, row[partners.rows, partners.cols], signs)
+
     @property
     def secret_count(self) -> int:
         return int(np.count_nonzero(self._is_secret))
@@ -157,21 +173,22 @@ def build_layout(sparams: SecureParams) -> MessageLayout:
     return layout
 
 
-def place(
-    mb: np.ndarray, layout: MessageLayout, secrets: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
-    """Write (..., F_s) secrets and (..., |Q|) keys, mod q, into their slots
-    of a zeroed (..., d, alpha) batch, in place, and return the batch."""
-    q = layout.sparams.base.q
-    mb[(..., *layout.secret_index)] = secrets % q
-    mb[(..., *layout.key_index)] = keys % q
-    return mb
+def assemble_rows(layout: MessageLayout, rows: np.ndarray) -> np.ndarray:
+    """The (d, alpha, ...) message batch of a (d*alpha, ...) stack of rows
+    whose first F_s + |Q| rows hold the secrets, then the keys, as residues
+    of any integer dtype or float64: the rows below them are set to the
+    parity sums, each reduced once, and one gather puts every row in its
+    cell.  A cell-major batch makes each cell one contiguous row."""
+    cells, partners, signs = layout.gather_table
+    sums = np.einsum("pk,pk...->p...", signs, np.take(rows, partners, axis=0))
+    rows[len(rows) - len(sums) :] = _mod(sums, layout.sparams.base.q)
+    return np.take(rows, cells, axis=0)
 
 
 def assemble(
     layout: MessageLayout, secrets: np.ndarray | list[int], keys: np.ndarray | list[int]
 ) -> GFMatrix:
-    """Place secrets and keys into their slots and close every parity group."""
+    """The message matrix of secrets and keys, reduced mod q: a batch of one."""
     params = layout.sparams.base
     secrets = np.asarray(secrets, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
@@ -179,8 +196,9 @@ def assemble(
         raise ValueError(f"expected {layout.secret_count} secrets, got {secrets.shape}")
     if keys.shape != (layout.key_count,):
         raise ValueError(f"expected {layout.key_count} keys, got {keys.shape}")
-    arr = np.zeros((params.d, params.alpha), dtype=np.int64)
-    return GFMatrix(params.q, close_parity(place(arr, layout, secrets, keys), params))
+    rows = np.empty(params.d * params.alpha, dtype=np.int64)
+    rows[: len(secrets) + len(keys)] = np.concatenate([secrets, keys]) % params.q
+    return GFMatrix(params.q, assemble_rows(layout, rows))
 
 
 def extract_secrets(M: GFMatrix, layout: MessageLayout) -> np.ndarray:

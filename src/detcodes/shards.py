@@ -31,10 +31,10 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .code import SystemParams, close_parity, repair_encoder, vandermonde_encoder
+from .code import SystemParams, repair_encoder, vandermonde_encoder
 from .gf import Field
-from .gfmatrix import GFMatrix
-from .secure import KeyStream, MessageLayout, Scheme, SecureParams, build_layout, place
+from .gfmatrix import GFMatrix, _mod
+from .secure import KeyStream, MessageLayout, Scheme, SecureParams, assemble_rows, build_layout
 
 MAGIC = b"DETC"
 FORMAT_VERSION = 2
@@ -264,14 +264,17 @@ def _unpack_payload(raw: np.ndarray, headers: Sequence[ShardHeader], count: int)
 
 
 def _pack_payload(symbols: np.ndarray, bits: int) -> np.ndarray:
-    """Pack each row of a (rows, count) array of symbols below 2^bits into
-    ceil(count * bits / 8) payload bytes, zero pad bits included."""
+    """Pack each row of a (rows, ...) array of symbols below 2^bits, read in
+    C order, into ceil(count * bits / 8) payload bytes for its count
+    symbols, zero pad bits included; the one copy of the symbols also
+    makes a transposed view's rows contiguous."""
+    rows, count = len(symbols), math.prod(symbols.shape[1:])
     if bits == 16:
-        return symbols.astype("<u2", copy=False).view(np.uint8)
+        return np.ascontiguousarray(symbols, dtype="<u2").reshape(rows, count).view(np.uint8)
     per = 8 // bits
-    rows, count = symbols.shape
     lanes = np.zeros((rows, -(-count // per) * per), dtype=np.uint8)
-    lanes[:, :count] = symbols
+    # A view: reshaping splits the unit-stride axis of the lanes.
+    lanes[:, :count].reshape(symbols.shape)[...] = symbols
     # Each word holds `per` byte-wide lanes, one symbol each; every fold
     # halves the distance between neighbours, until symbol j sits at bit
     # j*bits of the low byte (b = 8 needs no fold).
@@ -386,12 +389,12 @@ class StripedCodec:
     temp files beside their outputs, so their memory does not grow with
     the file; the in-memory ones (`encode_file`, `recover_file`,
     `repair_shard`) give it `io.BytesIO` buffers.
-    Batches are cell-major: a (d, stripes, alpha) array, handed around as
-    its (stripes, d, alpha) transposed view, so that every product over
-    GF(q) is one 2-D float64 GEMM (`_mat`) and row i of a codeword batch is
-    already shard i's payload.  Slots, parity closure and repair
-    recombination come from the code's own tables (`place`,
-    `close_parity`, `SystemParams.repair_table`), as for one matrix.
+    Encode blocks are cell-major: a (d, alpha, stripes) message array, in
+    which each cell is one contiguous run of stripes, built by the one
+    gather of `assemble_rows` as for one matrix, and handed around as its
+    (stripes, d, alpha) transposed view, so that every product over GF(q)
+    is one 2-D float64 GEMM (`_mat`); packing transposes the codeword rows
+    to payload order.  Repair recombines with `SystemParams.repair_table`.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -469,18 +472,22 @@ class StripedCodec:
     # -- batched message algebra -------------------------------------------
 
     def assemble_batch(self, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Message matrices of shape (stripes, d, alpha), uint16."""
-        b = secrets.shape[0]
-        params = self.params
-        mb = np.zeros((params.d, b, params.alpha), dtype=np.uint16).transpose(1, 0, 2)
-        return close_parity(place(mb, self.layout, secrets, keys), params)
+        """Message matrices of shape (stripes, d, alpha), float64, from
+        (stripes, F_s) secrets and (stripes, |Q|) keys that are residues
+        already, as packed and key-stream symbols are: a view of the
+        cell-major (d, alpha, stripes) block."""
+        fs, free = secrets.shape[1], secrets.shape[1] + keys.shape[1]
+        rows = np.empty((self.params.d * self.params.alpha, len(secrets)), dtype=np.float64)
+        rows[:fs], rows[fs:free] = secrets.T, keys.T
+        return assemble_rows(self.layout, rows).transpose(2, 0, 1)
 
     def encode_batch(self, mb: np.ndarray) -> np.ndarray:
-        """Codewords Psi @ M of shape (stripes, n, alpha), uint16."""
+        """Codewords Psi @ M of shape (stripes, n, alpha), uint16: a view of
+        the cell-major (n, alpha, stripes) block."""
         b, d, alpha = mb.shape
-        cells = mb.transpose(1, 0, 2).reshape(d, b * alpha)
+        cells = mb.transpose(1, 2, 0).reshape(d, alpha * b)  # free when cell-major
         cb = _mod(_mat(self._psi64, cells), self.q).astype(np.uint16)
-        return cb.reshape(self.params.n, b, alpha).transpose(1, 0, 2)
+        return cb.reshape(self.params.n, alpha, b).transpose(2, 0, 1)
 
     def recover_batch(self, node_ids: Sequence[int], cb: np.ndarray) -> np.ndarray:
         """Secrets of every stripe, (stripes, F_s) uint16, from the codeword
@@ -555,7 +562,7 @@ class StripedCodec:
             keys = stream.draw(b * nk).reshape(b, nk) if nk else np.zeros((b, 0), np.uint16)
             # Row i of the codeword batch is shard i + 1's payload.
             cb = self.encode_batch(self.assemble_batch(secrets, keys)).transpose(1, 0, 2)
-            for out, rows in zip(outs, _pack_payload(cb.reshape(params.n, -1), bits)):
+            for out, rows in zip(outs, _pack_payload(cb, bits)):
                 out.write(rows)
         if readinto(memoryview(bytearray(1))):
             raise ValueError(f"input is longer than {length} bytes")
@@ -692,16 +699,8 @@ class StripedCodec:
 # exactly whatever the summation order (Dumas, Giorgi & Pernet, "FFLAS and
 # FFPACK", ACM TOMS 2008), and numpy runs the product as one BLAS dgemm.
 #
-# `_mod` reduces such an integer x = kq + r (0 <= r < q) without leaving
-# float64: fl(x / q) is k + r/q rounded to nearest, which is at least k,
-# because k is a float64 and rounding is monotonic.  It cannot reach k + 1:
-# (k + 1) - (k + r/q) = (q - r)/q >= 1/q, while half an ulp of k is at most
-# k * 2^-53 < 1/q whenever kq < 2^53.  So floor(fl(x / q)) = k, and
-# x - q*k is exact as well.  Every operand here is below 2^49.
-#
-# The same argument holds for negative x with |x| < 2^53 - q: fl(x / q) is
-# again k + r/q rounded, k <= -1 a float64, and half an ulp of k + r/q is
-# below |k| * 2^-53 < 1/q.  `_repair` reduces such signed sums.
+# `_mod` (`gfmatrix`) reduces such an integer exactly in float64.  Every
+# operand here is below 2^49; `_repair` reduces signed sums of that size.
 #
 # The byte <-> symbol packing is exact in float64 for the same reason.  A
 # packed symbol or byte is the floor of a sum of at most 8 terms v * 2^e
@@ -715,16 +714,6 @@ class StripedCodec:
 def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for residue matrices, as exact integers in float64."""
     return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-
-
-def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Canonical residues, in float64, of exact integers |x| < 2^53 - q held
-    in float64."""
-    r = x / q
-    np.floor(r, out=r)
-    r *= q
-    np.subtract(x, r, out=r)
-    return r
 
 
 def _floor_mod(x: np.ndarray, mask: int, out: np.ndarray) -> None:

@@ -1,9 +1,9 @@
 """The table-driven message-matrix core against per-cell reference loops.
 
-`place`, `close_parity` and `recombine` run every single-matrix API (as a
-batch of one) and the striped codec.  The loops below walk the cells one
-at a time with `LexIndexer.rank`, as the library did before its index
-tables existed, and serve as independent oracles.
+`assemble_rows` and `recombine` run every single-matrix API (as a batch
+of one), the audit's cell maps and the striped codec.  The loops below
+walk the cells one at a time with `LexIndexer.rank`, as the library did
+before its index tables existed, and serve as independent oracles.
 """
 
 import warnings
@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from detcodes.code import close_parity, parity_partners, recombine, system
+from detcodes.code import parity_partners, recombine, system
 from detcodes.leakage import cell_maps
-from detcodes.secure import Scheme, SecureParams, assemble, build_layout, place
+from detcodes.secure import Scheme, SecureParams, assemble, assemble_rows, build_layout
 from detcodes.shards import StripedCodec
 from detcodes.subsets import ind
 
@@ -100,19 +100,24 @@ def test_assembly_matches_per_cell_reference(q):
     for layout in all_layouts(q):
         params = layout.sparams.base
         # stripe 0 holds q - 1 everywhere; stripes 1 and 2 are random and
-        # partly outside [0, q), which placement reduces
+        # partly outside [0, q), which `assemble` reduces
         secrets = rng.integers(-q, 2 * q, (3, layout.secret_count))
         keys = rng.integers(-q, 2 * q, (3, layout.key_count))
         secrets[0], keys[0] = q - 1, q - 1
-        dtypes = [np.int64] + ([np.uint16] if q < 1 << 16 else [])
-        for dtype in dtypes:
-            batch = np.zeros((3, params.d, params.alpha), dtype=dtype)
-            close_parity(place(batch, layout, secrets, keys), params)
-            for b in range(3):
-                assert np.array_equal(batch[b], assemble_cells(layout, secrets[b], keys[b]))
+        expected = [assemble_cells(layout, secrets[b], keys[b]) for b in range(3)]
         for b in range(3):
-            single = assemble(layout, secrets[b], keys[b]).a
-            assert np.array_equal(single, batch[b])
+            assert np.array_equal(assemble(layout, secrets[b], keys[b]).a, expected[b])
+        # the cell-major batch of the residues: int64 (`assemble`, `cell_maps`),
+        # float64 (the codec) and uint16
+        free = np.concatenate([secrets, keys], axis=1).T % q
+        dtypes = [np.int64, np.float64] + ([np.uint16] if q < 1 << 16 else [])
+        for dtype in dtypes:
+            rows = np.zeros((params.d * params.alpha, 3), dtype=dtype)
+            rows[: len(free)] = free
+            batch = assemble_rows(layout, rows)
+            assert batch.shape == (params.d, params.alpha, 3) and batch.dtype == dtype
+            for b in range(3):
+                assert np.array_equal(batch[..., b], expected[b])
 
 
 @pytest.mark.parametrize("q", FIELDS)

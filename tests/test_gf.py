@@ -1,8 +1,9 @@
 import time
 
+import numpy as np
 import pytest
 
-from detcodes.gf import Field, smallest_prime_gt
+from detcodes.gf import _MR_LIMIT, Field, is_prime, smallest_prime_gt
 from detcodes.gfmatrix import GFMatrix, SingularMatrixError
 
 
@@ -32,8 +33,8 @@ def test_field_requires_prime_modulus():
 
 
 def test_field_range_checked_before_trial_division():
-    # 2^61 - 1 and 2^31 + 11 are prime, but past the int64 bound 2^31 + 1;
-    # unbounded trial division would take minutes on the first.  No prime
+    # 2^61 - 1 and 2^31 + 11 are prime, but past the int64 bound 2^31 + 1,
+    # which is checked before primality.  No prime
     # lies in (2^31, 2^31 + 1], so no default q exists for n >= 2^31.
     start = time.perf_counter()
     for q in (2**61 - 1, 2**31 + 11, 0, 1):
@@ -45,6 +46,57 @@ def test_field_range_checked_before_trial_division():
     assert Field(2**31 - 1).q == 2**31 - 1
     assert smallest_prime_gt(2**31 - 2) == 2**31 - 1
     assert time.perf_counter() - start < 1
+
+
+def sieve_primes(limit):
+    """Sieve of Eratosthenes: is_p[n] for 0 <= n < limit."""
+    is_p = [False, False] + [True] * (limit - 2)
+    for f in range(2, int(limit**0.5) + 1):
+        if is_p[f]:
+            is_p[f * f :: f] = [False] * len(range(f * f, limit, f))
+    return is_p
+
+
+def test_is_prime_matches_sieve_below_1e5():
+    reference = sieve_primes(10**5)
+    assert [is_prime(n) for n in range(10**5)] == reference
+    assert not any(is_prime(n) for n in range(-10, 0))
+
+
+def test_is_prime_large_and_adversarial():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161]
+    assert not any(is_prime(n) for n in carmichael)
+    # Strong pseudoprimes to every base up to 7, 13 and 31 respectively.
+    assert not any(is_prime(n) for n in (3215031751, 3474749660383, 3825123056546413051))
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime(2**31 + 1) and not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert not is_prime((2**31 - 1) ** 2) and not is_prime((2**31 - 1) * 65521)
+    assert is_prime(np.int64(65521)) and not is_prime(np.uint16(65535))
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # psi_12 itself is a strong pseudoprime to the bases 2..37.
+    assert _MR_LIMIT == 318665857834031151167461
+    for n in (_MR_LIMIT, 2**127 - 1):
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(n)
+    assert not is_prime(_MR_LIMIT - 1)
+
+
+def test_default_field_matches_sieve():
+    reference = sieve_primes(20000)
+    for n in range(1, 10000):
+        assert smallest_prime_gt(n) == next(q for q in range(n + 1, 20000) if reference[q])
+    for q in range(2000):
+        if reference[q]:
+            assert Field(q).q == q
+        else:
+            with pytest.raises(ValueError):
+                Field(q)
 
 
 def inverse(a, q):
