@@ -17,7 +17,7 @@ import hashlib
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class SecureParams:
             warnings.warn(
                 f"Type-II with m={self.base.m} > d-ell={d - self.ell} has zero "
                 "secret capacity; the matrix stores keys only",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
     @property
@@ -210,25 +210,34 @@ def extract_secrets(M: GFMatrix, layout: MessageLayout) -> np.ndarray:
 
 # -- key sampling ---------------------------------------------------------------
 
-_KS_TAG = b"detcodes-keystream-v3"
-# 16-bit words per segment of the key stream (128 KiB of SHAKE-256 output).
-SEGMENT_WORDS = 1 << 16
+_KS_TAG = b"detcodes-keystream-v4"
+SEGMENT_WORDS = 1 << 16  # 16-bit words per key-stream segment (128 KiB of SHAKE-256)
+
+
+@lru_cache(maxsize=4)
+def _digit_table(q: int) -> np.ndarray:
+    """Digit rows of `KeyStream`'s accepted words w (whose k low base-q digits
+    are those of w mod q^k), made in uint32 and kept as uint8 for q <= 256."""
+    k = next(k for k in range(16, 0, -1) if q**k <= 1 << 16)
+    rest = np.arange((1 << 16) - (1 << 16) % q**k, dtype=np.uint32)
+    table = np.empty((len(rest), k), dtype=np.uint8 if q <= 256 else np.uint16)
+    for digit in table.T:
+        rest, digit[:] = np.divmod(rest, np.uint32(q))
+    table.setflags(write=False)
+    return table
 
 
 class KeyStream:
     """Deterministic uniform symbols from a seed, via segmented SHAKE-256.
 
     Segment j is SHAKE-256 (FIPS 202) of a version tag, q (2 bytes), the
-    seed (32 bytes) and j (8 bytes), all little-endian, read for
-    `SEGMENT_WORDS` little-endian 16-bit words; the stream is the segments
-    one after another.  Words at or above the largest multiple of q below
-    2^16 are rejected, the rest are reduced mod q, so every symbol is
-    uniform over [0, q).  The output is stable across platforms and Python
-    versions (unlike random.Random), which keeps shard files byte-identical
-    for a fixed seed.  Successive ``draw`` calls continue the stream:
-    ``draw(a)`` then ``draw(b)`` equals ``draw(a + b)``, and a draw squeezes
-    only the segments it reaches, so drawing a file's keys block by block
-    costs the same as drawing them at once.
+    seed (32 bytes) and j (8 bytes), all little-endian, read as
+    `SEGMENT_WORDS` little-endian 16-bit words.  With k the largest integer
+    such that q^k <= 2^16, a word w below 2^16 - (2^16 mod q^k) yields the
+    k i.i.d. uniform symbols (w mod q^k) // q^i mod q, i = 0..k-1 (k = 4 at
+    q = 11); other words are rejected.  The bytes are stable across
+    platforms, so fixed-seed shards are too.  ``draw(a)`` then ``draw(b)``
+    equals ``draw(a + b)``, and a draw squeezes only the segments it reaches.
     """
 
     def __init__(self, seed: int, q: int) -> None:
@@ -239,29 +248,20 @@ class KeyStream:
             raise ValueError(f"seed {seed} out of range [0, 2^256)")
         self.q = q
         self._key = _KS_TAG + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
-        self._limit = (1 << 16) - ((1 << 16) % q)
         self._segment = 0  # index of the next segment to squeeze
-        self._words = np.empty(0, dtype="<u2")  # unread words of the current one
-
-    def _next_segment(self) -> None:
-        xof = hashlib.shake_256(self._key + self._segment.to_bytes(8, "little"))
-        self._words = np.frombuffer(xof.digest(2 * SEGMENT_WORDS), dtype="<u2")
-        self._segment += 1
+        self._symbols = np.empty(0, dtype=np.uint16)  # unread symbols of the current one
 
     def draw(self, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.uint16)
         filled = 0
         while filled < count:
-            if not len(self._words):
-                self._next_segment()
-            need, words = count - filled, self._words
-            # Rejections are rare (9 in 2^16 at q = 11), so locate only them:
-            # rejected word j follows rejected[j] - j accepted words.
-            rejected = np.flatnonzero(words >= self._limit)
-            skipped = np.searchsorted(rejected - np.arange(len(rejected)), need)
-            end = min(need + int(skipped), len(words))
-            taken = np.delete(words[:end], rejected[:skipped])
-            np.remainder(taken, self.q, out=out[filled : filled + len(taken)])
+            if not len(self._symbols):  # the next segment's symbols: one gather of digit rows
+                table = _digit_table(self.q)  # so a plain encode, which draws none, builds none
+                xof = hashlib.shake_256(self._key + self._segment.to_bytes(8, "little"))
+                words = np.frombuffer(xof.digest(2 * SEGMENT_WORDS), dtype="<u2")
+                self._symbols = np.take(table, words[words < len(table)], axis=0).reshape(-1)
+                self._segment += 1
+            taken, self._symbols = self._symbols[: count - filled], self._symbols[count - filled :]
+            out[filled : filled + len(taken)] = taken
             filled += len(taken)
-            self._words = words[end:]
         return out

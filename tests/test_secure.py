@@ -10,6 +10,7 @@ from detcodes.secure import (
     KeyStream,
     Scheme,
     SecureParams,
+    _digit_table,
     assemble,
     build_layout,
     extract_secrets,
@@ -106,8 +107,11 @@ def test_scheme_validation():
 
 def test_type_ii_zero_capacity_warns():
     ps = system(8, 6, 5)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         sp = SecureParams(ps, 3, Scheme.TYPE_II)  # m=5 > d-ell=3
+    # The warning names the line that built the params, not the dataclass
+    # __init__ (reported as "<string>").
+    assert [w.filename for w in record] == [__file__]
     assert sp.secret_count == 0
     assert sp.key_count == ps.file_size
 
@@ -239,12 +243,31 @@ def test_key_stream_uniformity_chi_square():
         assert np.all(np.abs(counts - n * p) < 3 * sigma)
 
 
+@pytest.mark.parametrize("q", [3, 11])
+def test_key_stream_pairs_chi_square(q):
+    # Consecutive symbols must be independent too: several come from one
+    # word (10 at q = 3, 4 at q = 11), so a digit that leaks into the next,
+    # or a word whose digits repeat, skews the q^2 pair counts, which the
+    # marginal counts need not show.  Pairs starting at even and at odd
+    # positions cover every neighbour, within a word and across words.
+    # Frozen like the marginal check; the bound is chi-square's 0.999
+    # quantile at q^2 - 1 degrees of freedom (Wilson-Hilferty).
+    draws = KeyStream(0, q).draw(200_001).astype(np.int64)
+    df = q * q - 1
+    bound = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
+    for start in (0, 1):
+        pairs = draws[start : start + 200_000].reshape(-1, 2)
+        counts = np.bincount(pairs[:, 0] * q + pairs[:, 1], minlength=q * q)
+        expected = len(pairs) / (q * q)
+        assert ((counts - expected) ** 2 / expected).sum() < bound
+
+
 @pytest.mark.parametrize(
     "q, first16",
     [
-        (11, [3, 0, 0, 1, 5, 3, 2, 10, 4, 10, 0, 9, 10, 1, 7, 7]),
-        (65521, [25592, 16927, 37208, 5504, 57552, 40552, 4373, 63453,
-                 24232, 53314, 1707, 3448, 36021, 63624, 23635, 16120]),
+        (11, [8, 0, 1, 5, 10, 1, 2, 0, 0, 5, 1, 4, 4, 6, 2, 4]),
+        (65521, [55501, 33734, 44644, 30616, 61562, 1124, 51531, 39991,
+                 37010, 60628, 46271, 17836, 12165, 23170, 58153, 8489]),
     ],
     ids=["q11", "q65521"],
 )
@@ -263,28 +286,63 @@ def test_key_stream_draws_continue_the_stream(q):
     assert whole.min() >= 0 and whole.max() < q
 
 
-def _segment_reference(seed, q, count):
-    """Key stream v3 word by word: segment j is SHAKE-256 of the tag, q, the
-    seed and j, read for 2^16 little-endian 16-bit words."""
-    out, j, limit = [], 0, (1 << 16) - (1 << 16) % q
+def digits_per_word(q):
+    """k of key stream v4: the largest integer with q^k <= 2^16."""
+    k = 1
+    while q ** (k + 1) <= 1 << 16:
+        k += 1
+    return k
+
+
+def keystream_reference(seed, q, count):
+    """Key stream v4 word by word: segment j is SHAKE-256 of the tag, q, the
+    seed and j, read for 2^16 little-endian 16-bit words; a word w below
+    limit, the largest multiple of q^k up to 2^16, yields the k base-q
+    digits of w mod q^k, least significant first, and any other word none."""
+    k = digits_per_word(q)
+    limit = (1 << 16) - (1 << 16) % q**k
+    out, j = [], 0
     while len(out) < count:
-        key = b"detcodes-keystream-v3" + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
+        key = b"detcodes-keystream-v4" + q.to_bytes(2, "little") + seed.to_bytes(32, "little")
         raw = hashlib.shake_256(key + j.to_bytes(8, "little")).digest(2 << 16)
-        words = (int.from_bytes(raw[i : i + 2], "little") for i in range(0, len(raw), 2))
-        out += [w % q for w in words if w < limit][: count - len(out)]
+        for i in range(0, len(raw), 2):
+            w = int.from_bytes(raw[i : i + 2], "little")
+            if w < limit:
+                rest = w % q**k
+                for _ in range(k):
+                    rest, digit = divmod(rest, q)
+                    out.append(digit)
         j += 1
-    return out
+    return out[:count]
 
 
-@pytest.mark.parametrize("q", [2, 32771])
+@pytest.mark.parametrize("q", [2, 3, 11, 251, 257, 32771, 65521])
 def test_key_stream_segments_match_reference(q):
-    # 70,000 keys cross segment boundaries at q = 2, where the second draw
-    # ends exactly on the first boundary (no word is rejected), and at
-    # q = 32771, where about half of all words are rejected.
+    # k = 16, 10, 4, 2, 1, 1, 1 symbols per word.  The draws cross the
+    # first segment boundary, their sizes are mostly not multiples of k,
+    # and at q = 2, which rejects no word, one draw ends exactly on the
+    # boundary (2^16 words of 16 symbols).
+    k = digits_per_word(q)
+    cuts = sorted({1, 65536, 65539, k << 16, (k << 16) + 3, (k << 16) + 4470})
     ks = KeyStream(5, q)
-    parts = [ks.draw(c) for c in (1, 65535, 1, 4463)]
+    parts = [ks.draw(c) for c in np.diff([0, *cuts])]
     assert all(p.dtype == np.uint16 for p in parts)
-    assert np.concatenate(parts).tolist() == _segment_reference(5, q, 70000)
+    assert np.concatenate(parts).tolist() == keystream_reference(5, q, cuts[-1])
+
+
+def test_plain_encode_builds_no_digit_table():
+    # A plain encode makes a KeyStream only to check the seed and draws no
+    # key, so it must not build (or even look up) the digit table.
+    def table_calls():
+        info = _digit_table.cache_info()
+        return info.hits + info.misses
+
+    data = bytes(range(256)) * 4
+    for scheme, ell, builds in ((Scheme.PLAIN, 0, False), (Scheme.TYPE_II, 2, True)):
+        codec = StripedCodec(SecureParams(system(8, 6, 2, 257), ell, scheme))
+        before = table_calls()
+        codec.encode_file(data, seed=3, seed_present=True)
+        assert (table_calls() > before) == builds
 
 
 def test_key_stream_seed_range():

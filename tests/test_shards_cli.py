@@ -22,10 +22,18 @@ from detcodes.code import (
     repair_node,
     repair_packet,
     system,
+    vandermonde_encoder,
 )
 from detcodes.gfmatrix import GFMatrix
 from detcodes.leakage import AUDIT_CSV_HEADER
-from detcodes.secure import KeyStream, Scheme, SecureParams, assemble, extract_secrets
+from detcodes.secure import (
+    KeyStream,
+    Scheme,
+    SecureParams,
+    assemble,
+    build_layout,
+    extract_secrets,
+)
 from detcodes.subsets import ind
 from detcodes.shards import (
     FORMAT_VERSION,
@@ -43,6 +51,7 @@ from detcodes.shards import (
     unpack_bytes,
     write_shard,
 )
+from test_secure import keystream_reference
 
 
 def make_codec(scheme=Scheme.TYPE_II, ell=2, n=8, d=6, m=2):
@@ -649,8 +658,10 @@ def run_cli(*args):
 # SHA-256 of every shard of `encode --seed 2718` on a 1000-byte input,
 # recorded from an earlier build.  Shard bytes change only on purpose, and
 # these digests change with them.  The keyed layouts were re-pinned for
-# key stream v3, and all three for format v2 (object id, b-bit payloads),
-# whose payload symbols and other header fields equal the v1 ones.
+# key streams v3 and v4, and all three for format v2 (object id, b-bit
+# payloads), whose payload symbols and other header fields equal the v1
+# ones.  `test_pinned_keys_are_the_reference_key_stream` checks the keys
+# inside the keyed shards against an independent key-stream reference.
 PINNED_ENCODES = {
     "plain-6-4-2-q65521": (
         ["--scheme", "plain", "--n", 6, "--d", 4, "--m", 2, "--q", 65521],
@@ -666,38 +677,46 @@ PINNED_ENCODES = {
     "type1-7-5-2-ell2-q11": (
         ["--scheme", "type1", "--ell", 2, "--n", 7, "--d", 5, "--m", 2, "--q", 11],
         [
-            "3b9b1d106129d032992a7555ad19afff2f27eca8305c36f62dadb63ebcd4304e",
-            "c8639445aa1dbf3ed37ce7273163d695bdc7938c7ff1808cff22e8042ca4e070",
-            "778c1ee3a271013ce83428159bee2132ffa3991b2be3ff0b40cea7d16f6d24e1",
-            "7a563888f24b59017bd79adfdd8a239b2f3994bb758acaf13e619857476e2777",
-            "ebafd7dd0c23dcd54758ca8743a83cc8587007301d30aef20aa6959d0a626e6c",
-            "f71600afa700ec0823ef86b2ed41ea1f76e45bc65d75627b09edfd472736fb48",
-            "406a65992049cd3d45409308ae27e40988931995b095535c6a87b61bd15f5a7e",
+            "7e6cc0289a0adb0c5b39f2c0147e8e2012eb8cf5acfe523c6a9fe1914bd843a0",
+            "54f9a8dbac45ad9beed03b3229c10fa8d81fc3057781e52f2342550c0e214aa2",
+            "b03f9db3c4c8eab465c60c78122826acaef0a3912925e24ef08157f5c3d2ff55",
+            "cc21058fb3d8b07ef7f75a6dbbd91a6b6a117df258348392893cf9334485c4f0",
+            "5391f40c3d68cd98b75caea98d59484e849badebfc138acf63eb5db764e31e91",
+            "ad09f394bc08734d31e9783fd3f46508f4977ad50a3e09298bdbc5c421b2b498",
+            "5a2af2a811b3fb629458fc83557e01486c055cf81ecd443a6643ebd604f7577e",
         ],
     ),
     "type2-8-6-2-ell2-q11": (
         ["--scheme", "type2", "--ell", 2, "--n", 8, "--d", 6, "--m", 2, "--q", 11],
         [
-            "61b5829c83bb4c34a375d2af2604308e3cff25c5aa7a9f61dce42169a522210d",
-            "f1c1435aa138a116cc327f7e2a3378c3401c5e91ecc4c2d7cf16b2cde6e3e217",
-            "ff7ef021cacd9c131f0968fd9e86a4e3d2b6432809262e9cd543d149821a733b",
-            "2ca42ae6ebc1ac124ade279f9ad003cbe141dc556d8325383ee48a184ffa83f3",
-            "f6efe759e03f9abf55cb9820e336c44f9048bd767c9de4edd712dfd2dae56ed4",
-            "347b6affea0a9dd5c7a7a93748f413b7151116429063f24eab801fe9b4415581",
-            "9104b1169c18cad452cf010676fe48b62e0f14b9cec0bc27f2b7ee0c75695184",
-            "48c9690d9c6fba6932584d1b6790e282f63be793537b508f534e4fc9e36df275",
+            "a0f8b86674ca1a20b4633d1f3b9ec25db6373108c5ffe37fadecd07deff3ba89",
+            "eda75f23c56a490875744e885e3c7e7484b8e66c9f6ab4d4a6b483ca8e47b5a1",
+            "f81a42536e5e630a2aab49c024ae9e9639b2ba4d7711019eed2555c500c3be2c",
+            "f16b174f4faf5c1e2188c6769b986a0e98cbe08b551e8c606f7f2ea605f213a1",
+            "0800dd2030b1aa784953300a3a6cbb0821ead63e72cd28ad423b6659378186ab",
+            "0c44c23b0316f628d859cf92d72360ed48d84ed0dc8ef1d877118ba3974ad7c2",
+            "1f1d483eec2043b4acd81510829d01714a7e303fabad558877b462667b424fca",
+            "6cb955235990010b5f420b86ce5e8a3f171f11e79dad6ba49fdb2d8f97ccb194",
         ],
     ),
 }
 
 
+def _encode_pinned(tmp_path, flags, data):
+    """The shard paths, in node order, of ``encode --seed 2718`` on data."""
+    source = tmp_path / "input.bin"
+    source.write_bytes(data)
+    assert run_cli("encode", source, "--out", tmp_path / "shards", *flags, "--seed", 2718) == 0
+    return sorted((tmp_path / "shards").glob("shard_*.detc"))
+
+
+PINNED_INPUT = bytes((7 * i + 3) % 256 for i in range(1000))
+
+
 @pytest.mark.parametrize("name", list(PINNED_ENCODES))
 def test_fixed_seed_encode_output_is_pinned(tmp_path, name):
     flags, digests = PINNED_ENCODES[name]
-    source = tmp_path / "input.bin"
-    source.write_bytes(bytes((7 * i + 3) % 256 for i in range(1000)))
-    assert run_cli("encode", source, "--out", tmp_path / "shards", *flags, "--seed", 2718) == 0
-    shards = sorted((tmp_path / "shards").glob("shard_*.detc"))
+    shards = _encode_pinned(tmp_path, flags, PINNED_INPUT)
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
 
 
@@ -711,14 +730,14 @@ MULTI_BLOCK_ENCODES = {
         (8, 6, 2, Scheme.TYPE_II, 2, 11),
         2 * 4080 + 1700,
         [
-            "a15ba9ff673c65543f0bd0f6300c9b376003dff563e3ec7042c256f39d688dc8",
-            "d064bb821fcd204092cd33fc23e12a1fde5177c775b1f5d3ebeade490abd41d6",
-            "44bd413b74032e8e2cb23d47affbeb732e16ffbe2131f25802f0697b8b099d77",
-            "a36b94477c954529e42eaf238bbbe3e7ec32777fb6741c5d2cff71d1762bd5f9",
-            "f2c72b52a95057dabbf57dfc2b43dd269d5f633b13dd76773fe23d1894efebbd",
-            "903241994019058e2a8464c6a56d5f71309380b5cc09fc782caaa82ed5607a7a",
-            "c9ad7bca40bde8812a25f1c5ade20e4dde2d89280d176aa7b9e2a88f3525fa33",
-            "f50208e0377f2ca2ac6ffdfe8db45b054e5a17cf6262368c0e2af1fde7f97879",
+            "dbf61432f00ac37a6cc9da087fa8a82d377b185cfcfb1442916c741f31300f72",
+            "20ee499ec498bf50bf3f62dfbbb92f5df7aaaae3c869870488c829c8b9f451aa",
+            "ee0473670d45e08c31c80c59974dde5d6febd16ac9589bd350a8e0c679c132a2",
+            "f8dc69820b0c8b9072a251b14aa6015df6daf23540313bdeedf30e0b96166a3f",
+            "942ebee8cc0f10f22884167f57524dd700cd5d367f7877178d752c69d3caad17",
+            "ef220ff0ea16c3aca76870d1ef806c4c13032e3bfb6e9237575e0bb42eb57232",
+            "bf90a28985b667fd07bdaa0e91c6e97447db7d5ade513cfd4c893aaf93194124",
+            "0d92060f184d8ed75b01cbf833963717cd9aef3b11082adb966ef98e6c772669",
         ],
     ),
     "plain-14-12-4-q65521": (
@@ -747,13 +766,13 @@ MULTI_BLOCK_ENCODES = {
         (7, 5, 2, Scheme.TYPE_I, 2, 11),
         2 * 7020 + 2900,
         [
-            "cd6bc9f2513024d921967890a9aa37daa668636ba886fcfb1605d8d14b0e949c",
-            "6a3bed4fee41fa72d0c047913b69b5d757974e512a3e2e064180de670272a46c",
-            "10c7e74af871ecbb62700fd11028c58321c6309aa430f422830a323341c604a3",
-            "fdf23d99ed1d76c69879ecb4e0a4d2550fcf6d069852fb745ef9ac5dd7ea1055",
-            "0715f90157567d95dd73c67321dccb056574404e46c7d24b1e4ad39e04ad115d",
-            "d5d3174e3a4f11ab2043caa0e07dce72254d0c8440e02c0411e097135530b0e2",
-            "30961a94261b81b7f966fac0ee6c68c50994258e242dbf500ffb29d27861de5f",
+            "bfd0e67b87e9b9f272bc1d64af7779a962f84fdf739f1d5897a70e487b07abc3",
+            "3f165f1c3c6d4df7c55658e4f2080ba1ccb6112aa5461c84b445815f481372c1",
+            "c33215f04d9891ae49b8d4bb488c88cf64de8a8d02c77a97807b12845d2a0bed",
+            "1a34c3cb26527321904e71001a6b1e116913702b54ae21968ae86ae7a9ad18cd",
+            "4f177a9c3cc081d213664c2d4145c44df6c37f65449bd35ffaa8d2b198927c53",
+            "e15f487aae3282419a74bc4830028794fff5b24c6233cc0235a66e201f0c276e",
+            "a4a5f2a829e1eee149a5a7ba82726a9ece9fdf55f0e8ab0e6ca8d8baebb30cf1",
         ],
     ),
 }
@@ -765,11 +784,43 @@ def test_fixed_seed_multi_block_encode_is_pinned(tmp_path, name):
     codec = StripedCodec(SecureParams(system(n, d, m, q), ell, scheme))
     block_bytes = codec.block_stripes * codec.symbols_per_stripe * symbol_width(q) // 8
     assert 2 * block_bytes < length < 3 * block_bytes
-    source = tmp_path / "input.bin"
-    source.write_bytes(hashlib.shake_256(name.encode()).digest(length))
-    assert run_cli("encode", source, "--out", tmp_path / "shards", *flags, "--seed", 2718) == 0
-    shards = sorted((tmp_path / "shards").glob("shard_*.detc"))
+    shards = _encode_pinned(tmp_path, flags, hashlib.shake_256(name.encode()).digest(length))
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
+
+
+# The keyed pinned encodes: CLI flags and input.
+KEYED_PINS = {
+    **{
+        name: (flags, PINNED_INPUT)
+        for name, (flags, _) in PINNED_ENCODES.items()
+        if not name.startswith("plain")
+    },
+    **{
+        f"multi-block-{name}": (flags, hashlib.shake_256(name.encode()).digest(length))
+        for name, (flags, _, length, _) in MULTI_BLOCK_ENCODES.items()
+        if not name.startswith("plain")
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(KEYED_PINS))
+def test_pinned_keys_are_the_reference_key_stream(tmp_path, name):
+    # Decode every stripe's message matrix from the last d shards with
+    # Psi_K^-1 (exact GFMatrix algebra, not the codec's float64 batches):
+    # the key slots of the stripes, one stripe after another, must hold the
+    # word-by-word reference stream of the seed.
+    shards = [read_shard(p) for p in _encode_pinned(tmp_path, *KEYED_PINS[name])]
+    sparams = shards[0].header.secure_params()
+    params, key_rows, key_cols = sparams.base, *build_layout(sparams).key_index
+    chosen = shards[params.n - params.d :]
+    psi_k = vandermonde_encoder(params).submatrix(
+        [s.header.node_id - 1 for s in chosen], range(params.d)
+    )
+    C = GFMatrix(params.q, np.stack([s.symbols.astype(np.int64) for s in chosen]))
+    M = (psi_k.inv() @ C).a.reshape(params.d, -1, params.alpha)  # (d, stripes, alpha)
+    keys = M[key_rows, :, key_cols].T  # (stripes, key slots)
+    assert keys.size > 0
+    assert keys.reshape(-1).tolist() == keystream_reference(2718, params.q, keys.size)
 
 
 def test_cli_encode_recover_repair(tmp_path):
