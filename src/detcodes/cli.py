@@ -189,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=None,
         help="key-stream seed in [0, 2^256) for byte-identical shards "
-        "(default: 32 bytes of OS entropy)",
+        "(default: 32 bytes of OS entropy). Keys are SHAKE-256 output, so "
+        "secrecy is computational at the seed's 256 bits: anyone who knows "
+        "a fixed seed can regenerate every key, and can confirm a guessed "
+        "input from the object id in one shard header",
     )
     p.add_argument("--out", required=True, help="output directory for shards")
     p.set_defaults(func=cmd_encode)

@@ -11,7 +11,7 @@ vectorized, so ranks of the audits' few-hundred-row matrices stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -171,20 +171,6 @@ class GFMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _canonical(self.a, self.q))
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, q: int) -> "GFMatrix":
-        return cls(q, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, n: int, q: int) -> "GFMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], q: int) -> "GFMatrix":
-        return cls(q, np.array(rows, dtype=np.int64))
-
     # -- basics -----------------------------------------------------------
 
     @property
@@ -215,9 +201,6 @@ class GFMatrix:
         if self.q != other.q:
             raise ValueError(f"field mismatch: GF({self.q}) vs GF({other.q})")
         return GFMatrix(self.q, matmul(self.a, other.a, self.q))
-
-    def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.q, self.a.T)
 
     # -- slicing ----------------------------------------------------------
 

@@ -164,33 +164,31 @@ class Shard:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Shard":
-        header = ShardHeader.from_bytes(raw)
-        _check_payload_size(header, len(raw) - header.size)
-        body = np.frombuffer(raw, dtype=np.uint8, offset=header.size)
-        return cls(header, _unpack_payload(body[None], [header], header.payload_symbols)[0])
-
-    def read_payload(self, offset: int, out: np.ndarray) -> None:
-        """Pack payload bytes offset, offset + 1, ... into all of ``out``, a
-        uint8 array; ``offset`` falls on a symbol boundary."""
-        bits = self.header.payload_bits
-        start = 8 * offset // bits
-        rows = self.symbols[None, start : start + 8 * out.size // bits]
-        np.copyto(out, _pack_payload(rows, bits)[0])
+        with ShardFile(raw) as fh:
+            body = np.empty((1, fh.header.payload_bytes), dtype=np.uint8)
+            fh.read_payload(0, body[0])
+        return cls(fh.header, _unpack_payload(body, [fh.header], fh.header.payload_symbols)[0])
 
 
 class ShardFile:
-    """A shard file opened for block reads.
+    """The one reader of shard bytes, from a path or from memory.
 
-    Opening reads and checks the header and checks the file size against
-    it, before any payload is read; the codec decodes and checks each
-    block's symbols as it reads them, with the same rules as `Shard`.
+    Opening refuses a path that is not a regular file, reads and checks the
+    header, and checks the size against it, before any payload is read; the
+    codec decodes and checks each block's symbols as it reads them, with
+    the same rules as `Shard`.
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self._fh = open(path, "rb")
+    def __init__(self, source: str | Path | bytes) -> None:
+        self._fh = io.BytesIO(source) if isinstance(source, bytes) else _open_regular(source)
         try:
+            # Size first, so that the header's read buffers the first block.
+            size = self._fh.seek(0, os.SEEK_END)
+            self._fh.seek(0)
             self.header = ShardHeader.from_bytes(self._fh.read(_HEADERS[FORMAT_VERSION].size))
-            _check_payload_size(self.header, os.fstat(self._fh.fileno()).st_size - self.header.size)
+            body = size - self.header.size
+            if body != self.header.payload_bytes:
+                raise ShardFormatError(f"payload is {body} bytes, expected {self.header.payload_bytes}")
         except BaseException:
             self._fh.close()
             raise
@@ -209,9 +207,15 @@ class ShardFile:
             raise ShardFormatError(f"shard for node {self.header.node_id} ended early")
 
 
-def _check_payload_size(header: ShardHeader, body: int) -> None:
-    if body != header.payload_bytes:
-        raise ShardFormatError(f"payload is {body} bytes, expected {header.payload_bytes}")
+def _open_regular(path: str | Path) -> BinaryIO:
+    """Open a regular file for reading, and refuse anything else (a FIFO, a
+    device, a directory) before any read.  The open does not block, so a
+    FIFO with no writer is refused at once instead of waited on."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return os.fdopen(fd, "rb")
+    os.close(fd)
+    raise ValueError(f"{path} is not a regular file")
 
 
 @contextlib.contextmanager
@@ -302,12 +306,6 @@ def symbol_width(q: int) -> int:
     return q.bit_length() - 1
 
 
-# Symbols are packed in groups: w bytes carry exactly 8 symbols of w bits.
-# Each product below handles this many groups at a time, so that its
-# float64 temporaries stay in cache.
-_PACK_GROUPS = 1024
-
-
 @functools.lru_cache(maxsize=None)
 def _pack_weights(w: int) -> tuple[np.ndarray, np.ndarray]:
     """The (w, 8) weights of a group's bytes in its symbols and the (8, w)
@@ -339,16 +337,12 @@ def pack_bytes(data: bytes, q: int) -> np.ndarray:
     """
     w = symbol_width(q)
     count = -(-8 * len(data) // w)
-    if w == 1:  # a product with inner dimension 1 is slower than this
-        return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).astype(np.uint16)
-    groups = -(-len(data) // w)
+    groups = -(-len(data) // w)  # w bytes carry exactly 8 symbols of w bits
     padded = np.zeros(groups * w, dtype=np.uint8)
     padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    grid = padded.reshape(groups, w)
     weights, _ = _pack_weights(w)
     out = np.empty((groups, 8), dtype=np.uint16)
-    for lo in range(0, groups, _PACK_GROUPS):
-        _floor_mod(grid[lo : lo + _PACK_GROUPS] @ weights, (1 << w) - 1, out[lo : lo + _PACK_GROUPS])
+    _floor_mod(padded.reshape(groups, w) @ weights, (1 << w) - 1, out)
     return out.reshape(-1)[:count]
 
 
@@ -364,13 +358,9 @@ def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int) -> bytes:
     padded = np.zeros(8 * groups, dtype=np.uint16)
     padded[:used] = symbols[:used]
     padded &= np.uint16((1 << w) - 1)
-    if w == 1:
-        return np.packbits(padded.astype(np.uint8))[:byte_length].tobytes()
-    grid = padded.reshape(groups, 8)
     _, weights = _pack_weights(w)
     out = np.empty((groups, w), dtype=np.uint8)
-    for lo in range(0, groups, _PACK_GROUPS):
-        _floor_mod(grid[lo : lo + _PACK_GROUPS] @ weights, 0xFF, out[lo : lo + _PACK_GROUPS])
+    _floor_mod(padded.reshape(groups, 8) @ weights, 0xFF, out)
     return out.reshape(-1)[:byte_length].tobytes()
 
 
@@ -386,9 +376,9 @@ class StripedCodec:
     block's output to the binary files it is given.  Work that depends only
     on the code or the node set is done once per file, before the loop.
     The streaming calls (`encode_to`, `recover_to`, `repair_to`) give it
-    temp files beside their outputs, so their memory does not grow with
-    the file; the in-memory ones (`encode_file`, `recover_file`,
-    `repair_shard`) give it `io.BytesIO` buffers.
+    temp files beside their outputs, so their memory does not grow with the
+    file; the in-memory ones (`encode_file`, `recover_file`, `repair_shard`)
+    give it `io.BytesIO` buffers.  Shards are read only as `ShardFile`s.
     Encode blocks are cell-major: a (d, alpha, stripes) message array, in
     which each cell is one contiguous run of stripes, built by the one
     gather of `assemble_rows` as for one matrix, and handed around as its
@@ -454,7 +444,7 @@ class StripedCodec:
         return (min(step, stripes - lo) for lo in range(0, stripes, step))
 
     def _payload_blocks(
-        self, shards: Sequence[Shard | ShardFile], stripes: int
+        self, shards: Sequence[ShardFile], stripes: int
     ) -> Iterator[np.ndarray]:
         """Each block's payload rows of ``shards``, one object's, as a
         (len(shards), b, alpha) array of symbols (`_unpack_payload`): read,
@@ -573,11 +563,11 @@ class StripedCodec:
             out.write(header.to_bytes())
         return headers
 
-    def _recover(self, shards: Sequence[Shard | ShardFile], out: BinaryIO) -> int:
+    def _recover(self, shards: Sequence[ShardFile], out: BinaryIO) -> int:
         """Write the file, block by block, to ``out`` from the first d
         distinct nodes of ``shards``; return its length."""
         params, q = self.params, self.q
-        seen: dict[int, Shard | ShardFile] = {}
+        seen: dict[int, ShardFile] = {}
         for s in shards:
             if s.header.node_id in seen:
                 raise ShardFormatError(f"duplicate shard for node {s.header.node_id}")
@@ -602,7 +592,7 @@ class StripedCodec:
             out.write(unpack_bytes(secrets, q, size))
         return head.original_length
 
-    def _repair(self, failed: int, helpers: Sequence[Shard | ShardFile], out: BinaryIO) -> int:
+    def _repair(self, failed: int, helpers: Sequence[ShardFile], out: BinaryIO) -> int:
         """Write shard ``failed``, its header and then its rows of every
         block, to ``out`` from d helpers; return the repair bandwidth in
         symbols (stripes x d helpers x beta independent symbols each)."""
@@ -641,7 +631,7 @@ class StripedCodec:
 
     def recover_file(self, shards: Sequence[Shard]) -> bytes:
         buf = io.BytesIO()
-        self._recover(shards, buf)
+        self._recover([ShardFile(s.to_bytes()) for s in shards], buf)
         return buf.getvalue()
 
     def repair_shard(self, failed: int, helpers: Sequence[Shard]) -> tuple[Shard, int]:
@@ -651,7 +641,7 @@ class StripedCodec:
         (stripes x d helpers x beta independent symbols each).
         """
         buf = io.BytesIO()
-        bandwidth = self._repair(failed, helpers, buf)
+        bandwidth = self._repair(failed, [ShardFile(s.to_bytes()) for s in helpers], buf)
         return Shard.from_bytes(buf.getvalue()), bandwidth
 
     # -- streaming to files --------------------------------------------------
@@ -662,29 +652,27 @@ class StripedCodec:
         """Encode the file ``source`` into ``out_dir``/shard_NNN.detc, one
         block at a time, and return the shard headers."""
         out_dir = Path(out_dir)
-        with open(source, "rb") as fh:
-            st = os.fstat(fh.fileno())
-            if not stat.S_ISREG(st.st_mode):
-                raise ValueError(f"{source} is not a regular file")
+        with _open_regular(source) as fh:
+            size = os.fstat(fh.fileno()).st_size
             made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
             paths = [out_dir / f"shard_{i:03d}.detc" for i in range(1, self.params.n + 1)]
             try:
                 with _replacing(paths) as files:
-                    return self._encode(fh.readinto, st.st_size, seed, seed_present, files)
+                    return self._encode(fh.readinto, size, seed, seed_present, files)
             except BaseException:
                 for p in made:
                     with contextlib.suppress(OSError):
                         p.rmdir()
                 raise
 
-    def recover_to(self, shards: Sequence[Shard | ShardFile], out: str | Path) -> int:
+    def recover_to(self, shards: Sequence[ShardFile], out: str | Path) -> int:
         """Recover the file into ``out``, one block at a time; return its length."""
         with _replacing([Path(out)]) as (fh,):
             return self._recover(shards, fh)
 
     def repair_to(
-        self, failed: int, helpers: Sequence[Shard | ShardFile], out: str | Path
+        self, failed: int, helpers: Sequence[ShardFile], out: str | Path
     ) -> int:
         """Write shard ``failed`` to ``out``, one block at a time; return the
         repair bandwidth in symbols."""
@@ -729,7 +717,7 @@ def _object_id(q: int, seed: int, input_digest: bytes) -> bytes:
     return hashlib.shake_256(material + input_digest).digest(16)
 
 
-def _object_header(shards: Sequence[Shard | ShardFile]) -> ShardHeader:
+def _object_header(shards: Sequence[ShardFile]) -> ShardHeader:
     """The header of the first shard, once every shard agrees with it."""
     if not shards:
         raise ShardFormatError("no shards given")
@@ -742,6 +730,6 @@ def _object_header(shards: Sequence[Shard | ShardFile]) -> ShardHeader:
     return head
 
 
-def codec_for_headers(shards: Sequence[Shard | ShardFile]) -> StripedCodec:
+def codec_for_headers(shards: Sequence[ShardFile]) -> StripedCodec:
     """Validate header consistency across shards and build their codec."""
     return StripedCodec(_object_header(shards).secure_params())

@@ -3,8 +3,8 @@
 Subsets are strictly increasing tuples of 1-based integers.  The ordering
 used everywhere is the set order ``I < J  iff  min(I \\ J) < min(J \\ I)``,
 which for fixed-size sorted tuples coincides with plain lexicographic
-tuple comparison; ranking and unranking use the combinatorial number
-system, so nothing is enumerated even for large ground sets.
+tuple comparison; ranking uses the combinatorial number system, so
+nothing is enumerated even for large ground sets.
 """
 
 from __future__ import annotations
@@ -71,17 +71,3 @@ class LexIndexer:
                 r += binom(self.d - x, self.m - pos - 1)
             prev = c
         return r
-
-    def unrank(self, i: int) -> Subset:
-        if not 0 <= i < len(self):
-            raise IndexError(f"rank {i} out of range [0, {len(self)})")
-        out = []
-        x = 1
-        rem = i
-        for pos in range(self.m):
-            while rem >= binom(self.d - x, self.m - pos - 1):
-                rem -= binom(self.d - x, self.m - pos - 1)
-                x += 1
-            out.append(x)
-            x += 1
-        return tuple(out)

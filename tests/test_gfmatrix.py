@@ -14,20 +14,20 @@ def rand_matrix(rng, rows, cols, q):
 
 def test_matmul_examples():
     q = 7
-    a = GFMatrix.from_rows([[1, 2], [3, 4]], q)
-    v = GFMatrix.from_rows([[1], [1]], q)
-    assert (a @ v) == GFMatrix.from_rows([[3], [0]], q)
-    eye = GFMatrix.identity(3, q)
+    a = GFMatrix(q, np.array([[1, 2], [3, 4]]))
+    v = GFMatrix(q, np.array([[1], [1]]))
+    assert (a @ v) == GFMatrix(q, np.array([[3], [0]]))
+    eye = GFMatrix(q, np.eye(3))
     b = rand_matrix(np.random.default_rng(0), 3, 4, q)
     assert eye @ b == b
-    assert b @ GFMatrix.zeros(4, 2, q) == GFMatrix.zeros(3, 2, q)
+    assert b @ GFMatrix(q, np.zeros((4, 2))) == GFMatrix(q, np.zeros((3, 2)))
 
 
 def test_matmul_mismatch():
     with pytest.raises(ValueError):
-        GFMatrix.zeros(2, 3, 7) @ GFMatrix.zeros(2, 3, 7)
+        GFMatrix(7, np.zeros((2, 3))) @ GFMatrix(7, np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        GFMatrix.zeros(2, 3, 7) @ GFMatrix.zeros(3, 2, 11)
+        GFMatrix(7, np.zeros((2, 3))) @ GFMatrix(11, np.zeros((3, 2)))
     with pytest.raises(ValueError):  # period 1: the first slices would agree
         matmul(np.ones((2, 2)), np.ones((3, 3)), 2**31 - 1)
 
@@ -90,36 +90,36 @@ def test_field_checked_before_reduction():
 
 
 def test_rank_examples():
-    assert GFMatrix.identity(4, 7).rank() == 4
-    assert GFMatrix.zeros(3, 5, 7).rank() == 0
+    assert GFMatrix(7, np.eye(4)).rank() == 4
+    assert GFMatrix(7, np.zeros((3, 5))).rank() == 0
     # 4x4 Vandermonde on distinct nonzero points of GF(7)
     pts = [1, 2, 3, 4]
     q = 7
-    vand = GFMatrix.from_rows([[pow(x, j, q) for j in range(4)] for x in pts], q)
+    vand = GFMatrix(q, np.array([[pow(x, j, q) for j in range(4)] for x in pts]))
     assert vand.rank() == 4
-    assert GFMatrix.from_rows([[1, 2], [1, 2]], q).rank() == 1
+    assert GFMatrix(q, np.array([[1, 2], [1, 2]])).rank() == 1
 
 
 def test_inverse_examples():
     q = 7
-    assert GFMatrix.identity(5, q).inv() == GFMatrix.identity(5, q)
-    d = GFMatrix.from_rows([[2, 0], [0, 3]], q)
-    assert d.inv() == GFMatrix.from_rows([[4, 0], [0, 5]], q)
-    vand = GFMatrix.from_rows([[1, 1], [1, 2]], q)
-    assert vand.inv() == GFMatrix.from_rows([[2, 6], [6, 1]], q)
+    assert GFMatrix(q, np.eye(5)).inv() == GFMatrix(q, np.eye(5))
+    d = GFMatrix(q, np.array([[2, 0], [0, 3]]))
+    assert d.inv() == GFMatrix(q, np.array([[4, 0], [0, 5]]))
+    vand = GFMatrix(q, np.array([[1, 1], [1, 2]]))
+    assert vand.inv() == GFMatrix(q, np.array([[2, 6], [6, 1]]))
     rng = np.random.default_rng(3)
     while True:
         a = rand_matrix(rng, 5, 5, 11)
         if a.rank() == 5:
             break
-    assert a @ a.inv() == GFMatrix.identity(5, 11)
+    assert a @ a.inv() == GFMatrix(11, np.eye(5))
 
 
 def test_inverse_singular_reported():
     with pytest.raises(SingularMatrixError):
-        GFMatrix.from_rows([[1, 2], [2, 4]], 7).inv()
+        GFMatrix(7, np.array([[1, 2], [2, 4]])).inv()
     with pytest.raises(SingularMatrixError):
-        GFMatrix.zeros(2, 3, 7).inv()
+        GFMatrix(7, np.zeros((2, 3))).inv()
 
 
 def test_submatrix():
@@ -153,7 +153,7 @@ def test_rank_product_bound_property(data):
 @settings(max_examples=60, deadline=None)
 @given(gf_matrix())
 def test_rank_transpose_property(a):
-    assert a.rank() == a.transpose().rank()
+    assert a.rank() == GFMatrix(a.q, a.a.T).rank()
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,7 +175,7 @@ def test_exhaustive_2x2_3x3_gf3_consistency():
             span = {tuple(row) for row in (coeffs @ m.a % q).tolist()}
             assert len(span) == q ** m.rank()
             if m.rank() == n:
-                assert m @ m.inv() == GFMatrix.identity(n, q)
+                assert m @ m.inv() == GFMatrix(q, np.eye(n))
             else:
                 with pytest.raises(SingularMatrixError):
                     m.inv()

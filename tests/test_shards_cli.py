@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import detcodes
 from detcodes.cli import main
 from detcodes.code import (
     encode,
@@ -117,7 +118,9 @@ def _ref_unpack_bytes(symbols, q, byte_length):
 def test_packing_matches_bit_array_reference(w, q):
     assert symbol_width(q) == w
     rng = np.random.default_rng(q)
-    for length in range(3 * w + 2):
+    # Every length up to three groups of w bytes, and at w = 3 and 15 also a
+    # 64 KiB buffer, which packs and unpacks as one product of thousands of groups.
+    for length in [*range(3 * w + 2), *([64 * 1024] if w in (3, 15) else [])]:
         for data in (rng.bytes(length), b"\xff" * length):
             syms = pack_bytes(data, q)
             assert syms.dtype == np.uint16
@@ -547,10 +550,11 @@ def test_block_loop_matches_one_batch(tmp_path, name, shape):
     assert headers == [shard.header for shard in shards]
     files = [tmp_path / "s" / f"shard_{i:03d}.detc" for i in range(1, params.n + 1)]
     assert [f.read_bytes() for f in files] == [shard.to_bytes() for shard in shards]
-    assert codec.recover_to([shards[i - 1] for i in readers], tmp_path / "out.bin") == len(data)
+    in_memory = [ShardFile(shard.to_bytes()) for shard in shards]
+    assert codec.recover_to([in_memory[i - 1] for i in readers], tmp_path / "out.bin") == len(data)
     assert (tmp_path / "out.bin").read_bytes() == data
     for failed in (1, params.n):
-        helpers = [s for s in shards if s.header.node_id != failed][: params.d]
+        helpers = [s for s in in_memory if s.header.node_id != failed][: params.d]
         out = tmp_path / f"rebuilt_{failed}.detc"
         assert codec.repair_to(failed, helpers, out) == stripes * params.d * params.beta
         assert out.read_bytes() == shards[failed - 1].to_bytes()
@@ -1295,6 +1299,33 @@ def test_cli_encode_input_size_faults_leave_output_untouched(
     monkeypatch.undo()
     assert capsys.readouterr().err == f"error: {message}\n" * 2
     assert _tree(tmp_path) == before and not (tmp_path / "new").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", ["encode", "recover", "repair"])
+def test_cli_fifo_input_exits_2_in_bounded_time(tmp_path, command):
+    # A plain open of a FIFO that has no writer waits for one.  Every input
+    # must be refused as not a regular file before it is read, so the
+    # command runs in a child process whose timeout fails the test instead
+    # of hanging the suite.
+    _, files = _cli_encoded(tmp_path / "a", 1000)
+    fifo, out = tmp_path / "fifo", tmp_path / "out"
+    os.mkfifo(fifo)
+    argv = {
+        "encode": ["encode", fifo, "--out", out, *TYPE2_FLAGS],
+        "recover": ["recover", fifo, *files[1:6], "--out", out],
+        "repair": ["repair", *files[1:6], fifo, "--failed", 1, "--out", out],
+    }[command]
+    before = _tree(tmp_path)
+    src = str(Path(detcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "detcodes", *map(str, argv)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {fifo} is not a regular file\n"
+    assert _tree(tmp_path) == before and not out.exists()
 
 
 def test_cli_encode_reports_storage_expansion(tmp_path, capsys):
