@@ -15,7 +15,7 @@ import sys
 from .code import system, vandermonde_encoder
 from .secure import Scheme, SecureParams, _check_ell, build_layout
 from .leakage import AUDIT_CSV_HEADER, audit_passes, audit_set_cap, audit_sweep
-from .shards import ShardFile, StripedCodec, codec_for_headers
+from .shards import ShardFile, StripedCodec
 from .tradeoff import (
     MAX_TRADEOFF_D,
     emit_tradeoff_csv,
@@ -104,7 +104,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     _reuse_freed_memory()
     with contextlib.ExitStack() as stack:
         shards = [stack.enter_context(ShardFile(p)) for p in args.shards]
-        codec = codec_for_headers(shards)
+        codec = StripedCodec(shards[0].header.secure_params())
         length = codec.recover_to(shards, args.out)
     print(f"recovered {length} bytes from {len(shards)} shards")
     return 0
@@ -114,7 +114,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     _reuse_freed_memory()
     with contextlib.ExitStack() as stack:
         helpers = [stack.enter_context(ShardFile(p)) for p in args.shards]
-        codec = codec_for_headers(helpers)
+        codec = StripedCodec(helpers[0].header.secure_params())
         bandwidth = codec.repair_to(args.failed, helpers, args.out)
     params = codec.params
     print(

@@ -57,10 +57,6 @@ class CellSums:
         """The (..., sums) signed sums, unreduced, over a (..., rows, cols) batch."""
         return (a[..., self.rows, self.cols] * self.signs).sum(axis=-1)
 
-    def sums(self, a: np.ndarray, q: int) -> np.ndarray:
-        """The (..., sums) residues mod q over a (..., rows, cols) batch."""
-        return self.signed_sums(a) % q
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -176,7 +172,7 @@ def recombine(mxi: np.ndarray, params: SystemParams) -> np.ndarray:
     """Repaired share(s) of node f from a (..., d, C(d, m-1)) batch of
     M @ Xi^f: symbol I is the signed sum over x in I of row x, column
     I - {x}, reduced mod q."""
-    return params.repair_table.sums(mxi, params.q)
+    return params.repair_table.signed_sums(mxi) % params.q
 
 
 # -- encoding and recovery ---------------------------------------------------
@@ -196,6 +192,14 @@ def vandermonde_encoder(params: SystemParams) -> GFMatrix:
     return GFMatrix(q, np.stack(cols, axis=1))
 
 
+def _freeze_values(self) -> None:
+    """Store a read-only int64 copy of ``values``: the caller's array stays
+    its own and writable."""
+    v = np.array(self.values, dtype=np.int64)
+    v.setflags(write=False)
+    object.__setattr__(self, "values", v)
+
+
 @dataclass(frozen=True)
 class NodeShare:
     """Content of one storage node: row node_id of Psi @ M."""
@@ -203,10 +207,7 @@ class NodeShare:
     node_id: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.int64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    __post_init__ = _freeze_values
 
 
 def encode(M: GFMatrix, psi: GFMatrix) -> list[NodeShare]:
@@ -258,10 +259,7 @@ class RepairPacket:
     failed: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.int64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    __post_init__ = _freeze_values
 
 
 def repair_packet(

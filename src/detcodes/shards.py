@@ -151,7 +151,7 @@ class Shard:
             raise ShardFormatError(f"shard for node {node} holds {s.dtype} symbols, not integers")
         if s.size and ((s.dtype.kind == "i" and s.min() < 0) or s.max() >= self.header.q):
             raise ShardFormatError(f"shard for node {node} holds symbols outside GF({self.header.q})")
-        s = s.astype(np.uint16, copy=False)
+        s = s.astype(np.uint16)  # a copy: the caller's array stays its own
         s.setflags(write=False)
         object.__setattr__(self, "symbols", s)
         if len(s) != self.header.payload_symbols:
@@ -171,16 +171,18 @@ class Shard:
 
 
 class ShardFile:
-    """The one reader of shard bytes, from a path or from memory.
+    """The one reader of shard bytes, from a path or a bytes-like object.
 
     Opening refuses a path that is not a regular file, reads and checks the
     header, and checks the size against it, before any payload is read; the
     codec decodes and checks each block's symbols as it reads them, with
-    the same rules as `Shard`.
+    the same rules as `Shard`.  ``stat`` is the file's `os.fstat` (None in
+    memory), by which the streaming calls refuse an output that is an input.
     """
 
-    def __init__(self, source: str | Path | bytes) -> None:
-        self._fh = io.BytesIO(source) if isinstance(source, bytes) else _open_regular(source)
+    def __init__(self, source: str | Path | bytes | bytearray | memoryview) -> None:
+        path = isinstance(source, (str, os.PathLike))
+        self._fh, self.stat = _open_regular(source) if path else (io.BytesIO(source), None)
         try:
             # Size first, so that the header's read buffers the first block.
             size = self._fh.seek(0, os.SEEK_END)
@@ -207,15 +209,25 @@ class ShardFile:
             raise ShardFormatError(f"shard for node {self.header.node_id} ended early")
 
 
-def _open_regular(path: str | Path) -> BinaryIO:
-    """Open a regular file for reading, and refuse anything else (a FIFO, a
-    device, a directory) before any read.  The open does not block, so a
-    FIFO with no writer is refused at once instead of waited on."""
+def _open_regular(path: str | Path) -> tuple[BinaryIO, os.stat_result]:
+    """Open a regular file for reading, with its `os.fstat`, and refuse
+    anything else (a FIFO, a device, a directory) before any read.  The open
+    does not block, so a FIFO with no writer is refused at once."""
     fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-    if stat.S_ISREG(os.fstat(fd).st_mode):
-        return os.fdopen(fd, "rb")
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode):
+        return os.fdopen(fd, "rb"), st
     os.close(fd)
     raise ValueError(f"{path} is not a regular file")
+
+
+def _output_path(out: str | Path, inputs: Sequence[ShardFile]) -> Path:
+    """``out`` as a Path, refused if it names one of ``inputs``."""
+    with contextlib.suppress(FileNotFoundError):
+        st = os.stat(out)
+        if any(s.stat is not None and os.path.samestat(st, s.stat) for s in inputs):
+            raise ValueError(f"{out} is one of the input shards")
+    return Path(out)
 
 
 @contextlib.contextmanager
@@ -378,13 +390,15 @@ class StripedCodec:
     The streaming calls (`encode_to`, `recover_to`, `repair_to`) give it
     temp files beside their outputs, so their memory does not grow with the
     file; the in-memory ones (`encode_file`, `recover_file`, `repair_shard`)
-    give it `io.BytesIO` buffers.  Shards are read only as `ShardFile`s.
-    Encode blocks are cell-major: a (d, alpha, stripes) message array, in
-    which each cell is one contiguous run of stripes, built by the one
-    gather of `assemble_rows` as for one matrix, and handed around as its
-    (stripes, d, alpha) transposed view, so that every product over GF(q)
-    is one 2-D float64 GEMM (`_mat`); packing transposes the codeword rows
-    to payload order.  Repair recombines with `SystemParams.repair_table`.
+    give it `io.BytesIO` buffers.  Shards are read only as `ShardFile`s,
+    and recover and repair first check every one against the others and
+    this codec's own code (`_check_shards`).  Encode blocks are cell-major:
+    a (d, alpha, stripes) message array, in which each cell is one
+    contiguous run of stripes, built by the one gather of `assemble_rows`
+    as for one matrix, and handed around as its (stripes, d, alpha)
+    transposed view, so that every product over GF(q) is one 2-D float64
+    GEMM (`_mat`); packing transposes the codeword rows to payload order.
+    Repair recombines with `SystemParams.repair_table`.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -404,6 +418,7 @@ class StripedCodec:
                 f"table cells; the codec limit is {MAX_TABLE_CELLS}"
             )
         self.layout: MessageLayout = build_layout(sparams)
+        self._code = (sparams.scheme.value, self.q, params.n, params.d, params.m, sparams.ell)
         self.psi: GFMatrix = vandermonde_encoder(params)
         self._psi64 = self.psi.a.astype(np.float64)
         self._decoders: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -432,11 +447,30 @@ class StripedCodec:
             return 1
         return max(1, -(-packed_symbols // per))
 
-    def _stripes(self, header: ShardHeader) -> int:
-        stripes, rem = divmod(header.payload_symbols, self.params.alpha)
+    def _check_shards(self, shards: Sequence[ShardFile]) -> tuple[ShardHeader, int]:
+        """Check every shard of a recover or repair input before any payload
+        read; return the first header and the stripe count."""
+        if not shards:
+            raise ShardFormatError("no shards given")
+        head, seen = shards[0].header, set()
+        for h in (s.header for s in shards):
+            if not head.compatible_with(h):
+                raise ShardFormatError(f"shard for node {h.node_id} belongs to a different object")
+            if h.node_id in seen:
+                raise ShardFormatError(f"duplicate shard for node {h.node_id}")
+            seen.add(h.node_id)
+        code = (head.scheme.value, head.q, head.n, head.d, head.m, head.ell)
+        if code != self._code:
+            raise ShardFormatError(
+                f"shards of the (scheme, q, n, d, m, ell) = {code} code do not fit this codec's {self._code}"
+            )
+        stripes, rem = divmod(head.payload_symbols, self.params.alpha)
         if rem:
             raise ShardFormatError("payload length is not a whole number of stripes")
-        return stripes
+        packed = stripes * self.symbols_per_stripe - head.padding_symbols
+        if packed * symbol_width(self.q) < 8 * head.original_length:
+            raise ShardFormatError("not enough symbols for the recorded file length")
+        return head, stripes
 
     def _blocks(self, stripes: int) -> Iterator[int]:
         """The stripe counts of consecutive blocks, the last one short."""
@@ -564,25 +598,13 @@ class StripedCodec:
         return headers
 
     def _recover(self, shards: Sequence[ShardFile], out: BinaryIO) -> int:
-        """Write the file, block by block, to ``out`` from the first d
-        distinct nodes of ``shards``; return its length."""
-        params, q = self.params, self.q
-        seen: dict[int, ShardFile] = {}
-        for s in shards:
-            if s.header.node_id in seen:
-                raise ShardFormatError(f"duplicate shard for node {s.header.node_id}")
-            seen[s.header.node_id] = s
-        if len(seen) < params.d:
-            raise ShardFormatError(
-                f"insufficient shards: need {params.d}, got {len(seen)}"
-            )
-        chosen = list(seen.values())[: params.d]
-        head = _object_header(chosen)
-        stripes = self._stripes(head)
-        w = symbol_width(q)
-        packed = stripes * self.symbols_per_stripe - head.padding_symbols
-        if packed * w < 8 * head.original_length:
-            raise ShardFormatError("not enough symbols for the recorded file length")
+        """Write the file, block by block, to ``out`` from the first d of
+        ``shards``; return its length."""
+        d, q, w = self.params.d, self.q, symbol_width(self.q)
+        head, stripes = self._check_shards(shards)
+        if len(shards) < d:
+            raise ShardFormatError(f"insufficient shards: need {d}, got {len(shards)}")
+        chosen = shards[:d]
         ids = [s.header.node_id for s in chosen]
         left = head.original_length
         for block in self._payload_blocks(chosen, stripes):
@@ -597,16 +619,16 @@ class StripedCodec:
         block, to ``out`` from d helpers; return the repair bandwidth in
         symbols (stripes x d helpers x beta independent symbols each)."""
         params = self.params
-        # repair_encoder rejects a failed id outside [1, n] before any read or write.
+        head, stripes = self._check_shards(helpers)
+        # repair_encoder rejects a failed id outside [1, n] before any payload read or write.
         xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
         ids = [s.header.node_id for s in helpers]
-        if len(set(ids)) != params.d or len(ids) != params.d:
+        if len(ids) != params.d:
             raise ShardFormatError(f"need {params.d} distinct helper shards")
         if failed in ids:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
         helpers = sorted(helpers, key=lambda s: s.header.node_id)
-        header = replace(_object_header(helpers), node_id=failed)
-        stripes = self._stripes(header)
+        header = replace(head, node_id=failed)
         d, alpha = params.d, params.alpha
         psi_h = self.psi.submatrix(sorted(i - 1 for i in ids), range(d))
         psi_h_inv = psi_h.inv().a.astype(np.float64)
@@ -652,14 +674,14 @@ class StripedCodec:
         """Encode the file ``source`` into ``out_dir``/shard_NNN.detc, one
         block at a time, and return the shard headers."""
         out_dir = Path(out_dir)
-        with _open_regular(source) as fh:
-            size = os.fstat(fh.fileno()).st_size
+        fh, st = _open_regular(source)
+        with fh:
             made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
             paths = [out_dir / f"shard_{i:03d}.detc" for i in range(1, self.params.n + 1)]
             try:
                 with _replacing(paths) as files:
-                    return self._encode(fh.readinto, size, seed, seed_present, files)
+                    return self._encode(fh.readinto, st.st_size, seed, seed_present, files)
             except BaseException:
                 for p in made:
                     with contextlib.suppress(OSError):
@@ -668,7 +690,7 @@ class StripedCodec:
 
     def recover_to(self, shards: Sequence[ShardFile], out: str | Path) -> int:
         """Recover the file into ``out``, one block at a time; return its length."""
-        with _replacing([Path(out)]) as (fh,):
+        with _replacing([_output_path(out, shards)]) as (fh,):
             return self._recover(shards, fh)
 
     def repair_to(
@@ -676,7 +698,7 @@ class StripedCodec:
     ) -> int:
         """Write shard ``failed`` to ``out``, one block at a time; return the
         repair bandwidth in symbols."""
-        with _replacing([Path(out)]) as (fh,):
+        with _replacing([_output_path(out, helpers)]) as (fh,):
             return self._repair(failed, helpers, fh)
 
 
@@ -715,21 +737,3 @@ def _object_id(q: int, seed: int, input_digest: bytes) -> bytes:
     fixed for a fixed seed and input, distinct across inputs."""
     material = _OBJECT_ID_TAG + q.to_bytes(4, "little") + seed.to_bytes(32, "little")
     return hashlib.shake_256(material + input_digest).digest(16)
-
-
-def _object_header(shards: Sequence[ShardFile]) -> ShardHeader:
-    """The header of the first shard, once every shard agrees with it."""
-    if not shards:
-        raise ShardFormatError("no shards given")
-    head = shards[0].header
-    for s in shards[1:]:
-        if not head.compatible_with(s.header):
-            raise ShardFormatError(
-                f"shard for node {s.header.node_id} belongs to a different object"
-            )
-    return head
-
-
-def codec_for_headers(shards: Sequence[ShardFile]) -> StripedCodec:
-    """Validate header consistency across shards and build their codec."""
-    return StripedCodec(_object_header(shards).secure_params())

@@ -23,10 +23,10 @@ from .secure import Scheme, ell_range, secret_capacity
 from .subsets import binom
 
 # Bounds on the analytics, both checked before any point is computed.  The
-# hull oracle (`pareto_modes`) sorts the modes once, in exact rationals
-# whose sizes grow with d: `pareto --d 1000` takes 0.5 s, start-up
-# included, on a 2-vCPU VM, and a table of 9000 rows at d = 1000 and three
-# ells takes 1.6 s there, so a table has at most about 2 s of rows.
+# hull oracle (`pareto_points_bruteforce`) sorts the modes once, in exact
+# rationals whose sizes grow with d: `pareto --d 1000` takes 0.5 s,
+# start-up included, on a 2-vCPU VM, and a table of 9000 rows at d = 1000
+# and three ells takes 1.6 s there, so a table has at most about 2 s of rows.
 MAX_TRADEOFF_D = 1000
 MAX_TRADEOFF_ROWS = 10_000
 
@@ -66,7 +66,7 @@ def point(d: int, ell: int, m: int, scheme: Scheme) -> TradeoffPoint:
         a_n = b_n = None
     return TradeoffPoint(
         scheme, d, ell, m, alpha, beta, fs, a_n, b_n,
-        m in pareto_modes(d, ell, scheme),
+        m in pareto_points_bruteforce(d, ell, scheme),
     )
 
 
@@ -90,9 +90,10 @@ def pareto_count(d: int, ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def pareto_modes(d: int, ell: int, scheme: Scheme) -> frozenset[int]:
+def pareto_points_bruteforce(d: int, ell: int, scheme: Scheme) -> frozenset[int]:
     """Modes whose normalized pair is an extreme point of the achievable
-    region, found with an exact-rational lower-left convex hull.
+    region, found with an exact-rational lower-left convex hull: the
+    oracle that cross-checks `pareto_count`.
 
     Modes with zero secret capacity have no normalized pair and are
     excluded outright.
@@ -126,11 +127,6 @@ def pareto_modes(d: int, ell: int, scheme: Scheme) -> frozenset[int]:
 
 def _cross(o: tuple, a: tuple, b: tuple) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def pareto_points_bruteforce(d: int, ell: int, scheme: Scheme) -> set[int]:
-    """Exact-rational convex-hull oracle; cross-checks pareto_count."""
-    return set(pareto_modes(d, ell, scheme))
 
 
 def single_pareto_threshold(d: int) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from detcodes.code import (
+    NodeShare,
     RepairPacket,
     encode,
     info_cells,
@@ -352,3 +353,14 @@ def test_packet_compression_roundtrip():
                 p = repair_packet(s, f, psi, ps, xi)
                 back = p.values[list(basis)] @ coeffs.a % ps.q
                 assert np.array_equal(back, p.values)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda v: NodeShare(1, v), lambda v: RepairPacket(2, 1, v)], ids=["NodeShare", "RepairPacket"]
+)
+def test_share_and_packet_copy_the_callers_values(make):
+    values = np.arange(5)
+    held = make(values)
+    assert values.flags.writeable and not held.values.flags.writeable
+    values[0] = 99
+    assert held.values.tolist() == [0, 1, 2, 3, 4]

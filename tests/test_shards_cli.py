@@ -45,7 +45,6 @@ from detcodes.shards import (
     ShardHeader,
     StripedCodec,
     _mod,
-    codec_for_headers,
     pack_bytes,
     read_shard,
     symbol_width,
@@ -282,8 +281,70 @@ def test_mixed_headers_rejected():
     c2 = make_codec(scheme=Scheme.TYPE_I)
     s1 = c1.encode_file(b"a", seed=1, seed_present=True)
     s2 = c2.encode_file(b"a", seed=1, seed_present=True)
-    with pytest.raises(ShardFormatError):
-        codec_for_headers([s1[0], s2[1]])
+    with pytest.raises(ShardFormatError, match="shard for node 2 belongs to a different object"):
+        c1.recover_file([s1[0], s2[1], *s1[2:6]])
+
+
+# Codecs of a code other than the Type-II (8,6,2,ell=2,q=11) of `make_codec`.
+OTHER_CODES = {
+    "other-scheme": (Scheme.PLAIN, 0, 11),
+    "other-q": (Scheme.TYPE_II, 2, 13),
+}
+
+
+@pytest.mark.parametrize("other", list(OTHER_CODES))
+def test_codec_of_another_code_refuses_shards(tmp_path, other):
+    # Every header agrees with the others, but not with the codec: decoding
+    # them with its tables would give wrong bytes.
+    scheme, ell, q = OTHER_CODES[other]
+    codec = StripedCodec(SecureParams(system(8, 6, 2, q), ell, scheme))
+    shards = make_codec().encode_file(bytes(range(256)) * 10, seed=1, seed_present=True)
+    with pytest.raises(ShardFormatError, match="do not fit this codec"):
+        codec.recover_file(shards[:6])
+    with pytest.raises(ShardFormatError, match="do not fit this codec"):
+        codec.repair_shard(8, shards[:6])
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier contents")
+    files = [ShardFile(shard.to_bytes()) for shard in shards]
+    with pytest.raises(ShardFormatError, match="do not fit this codec"):
+        codec.recover_to(files[:6], out)
+    with pytest.raises(ShardFormatError, match="do not fit this codec"):
+        codec.repair_to(8, files[:6], out)
+    assert _tree(tmp_path) == {Path("out"): b"earlier contents"}
+
+
+def test_recover_checks_shards_beyond_the_d_it_reads():
+    codec = make_codec()
+    a = codec.encode_file(b"first file", seed=1, seed_present=True)
+    b = codec.encode_file(b"other file", seed=1, seed_present=True)
+    assert codec.recover_file(a[:6]) == b"first file"
+    with pytest.raises(ShardFormatError, match="shard for node 7 belongs to a different object"):
+        codec.recover_file([*a[:6], b[6]])
+    with pytest.raises(ShardFormatError, match="duplicate shard for node 1"):
+        codec.recover_file([*a[:6], a[0]])
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_shard_reads_bytes_like_sources_from_memory(wrap):
+    shard = make_codec().encode_file(b"abc", seed=1, seed_present=True)[0]
+    raw = shard.to_bytes()
+    assert b"\0" in raw  # a path with a NUL byte cannot be opened
+    back = Shard.from_bytes(wrap(raw))
+    assert back.header == shard.header and np.array_equal(back.symbols, shard.symbols)
+    with ShardFile(wrap(raw)) as fh:
+        assert fh.header == shard.header and fh.stat is None
+    # A short NUL-free buffer is a shard too short for a header, not a file name.
+    with pytest.raises(ShardFormatError, match="too short for a header"):
+        ShardFile(wrap(b"DETC"))
+
+
+def test_shard_copies_the_callers_symbols():
+    header = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 1, 2, True, 0, 0)
+    symbols = np.array([3, 4], dtype=np.uint16)  # the stored dtype: no cast would copy it
+    shard = Shard(header, symbols)
+    assert symbols.flags.writeable and not shard.symbols.flags.writeable
+    symbols[0] = 9
+    assert shard.symbols.tolist() == [3, 4]
 
 
 def test_plain_scheme_roundtrip():
@@ -424,7 +485,7 @@ def test_v1_type_ii_shards_still_recover_and_repair():
     assert (head.scheme, head.q, head.n, head.d, head.m, head.ell) == (
         Scheme.TYPE_II, 11, 8, 6, 2, 2,
     )
-    codec = codec_for_headers(shards)
+    codec = StripedCodec(head.secure_params())
     for subset in combinations(shards, 6):
         assert codec.recover_file(subset) == data
     for failed in range(1, 9):
@@ -580,6 +641,8 @@ def test_block_loop_empty_payload_header():
     long = [Shard(replace(h.header, original_length=5), h.symbols) for h in shards[:6]]
     with pytest.raises(ShardFormatError, match="not enough symbols"):
         codec.recover_file(long)
+    with pytest.raises(ShardFormatError, match="not enough symbols"):
+        codec.repair_shard(8, long)
 
 
 @pytest.mark.parametrize("shape", ["1", "2B+1"])
@@ -612,9 +675,9 @@ def test_block_loop_does_per_file_setup_once(monkeypatch, shape):
 
 def test_codec_memory_stays_within_payload_multiples():
     # tracemalloc sees numpy's buffers and is deterministic for fixed
-    # inputs.  Bounds: measured peaks (3.14x, 1.97x and 0.32x of the payload
-    # bytes involved) plus a margin; the whole-file codec needed 10.8x,
-    # 7.7x and 6.9x.
+    # inputs.  Bounds: measured peaks (1.35x, 0.41x and 0.45x of the payload
+    # bytes involved, numpy 2.4) plus a margin; the whole-file codec needed
+    # 10.8x, 7.7x and 6.9x.
     codec = make_codec()
     warm = codec.encode_file(b"warm up the tables", seed=1, seed_present=True)
     codec.recover_file(warm[:6])
@@ -1199,8 +1262,8 @@ NAMED_FAULTS = ["out-of-field-in-first-block", "out-of-field-in-last-block", "no
 )
 def test_cli_faulty_shard_leaves_output_untouched(tmp_path, capsys, command, fault, node):
     data, files = _cli_encoded(tmp_path / "a", 16 * 1024)
-    codec = codec_for_headers([read_shard(files[0])])
-    symbols = read_shard(files[0]).header.payload_symbols
+    header = read_shard(files[0]).header
+    codec, symbols = StripedCodec(header.secure_params()), header.payload_symbols
     assert symbols > 4 * codec.block_stripes * 15 and symbols % 2 == 1
     bad = files[node - 1]
     if fault == "mixed-objects":
@@ -1251,6 +1314,26 @@ def test_cli_shards_of_another_file_with_the_same_header_rejected(tmp_path, caps
     assert rc == 2
     assert capsys.readouterr().err == "error: shard for node 2 belongs to a different object\n"
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["recover", "repair"])
+@pytest.mark.parametrize("alias", [False, True], ids=["same-path", "hard-link"])
+def test_cli_out_naming_an_input_shard_is_refused(tmp_path, capsys, command, alias):
+    # Replacing an input would destroy it, under any name of the same file.
+    _, files = _cli_encoded(tmp_path, 5000)
+    out = files[2]
+    if alias:
+        out = tmp_path / "alias.detc"
+        os.link(files[2], out)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    if command == "recover":
+        rc = run_cli("recover", *files[1:7], "--out", out)
+    else:
+        rc = run_cli("repair", *files[1:7], "--failed", 1, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {out} is one of the input shards\n"
+    assert _tree(tmp_path) == before  # every file byte-identical, no *.tmp left
 
 
 def test_cli_type_ii_shards_store_four_bits_per_symbol(tmp_path):

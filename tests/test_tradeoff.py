@@ -13,7 +13,6 @@ from detcodes.tradeoff import (
     emit_tradeoff_csv,
     external_bound_check,
     pareto_count,
-    pareto_modes,
     pareto_points_bruteforce,
     point,
     single_pareto_threshold,
@@ -94,14 +93,14 @@ def test_pareto_sweep_matches_all_pairs_scan():
     for d in range(1, 41):
         for scheme in Scheme:
             for ell in ell_range(scheme, d):
-                assert pareto_modes(d, ell, scheme) == pareto_modes_all_pairs(d, ell, scheme)
+                assert pareto_points_bruteforce(d, ell, scheme) == pareto_modes_all_pairs(d, ell, scheme)
 
 
 def test_pareto_modes_at_the_d_limit_is_fast():
     # The all-pairs scan took about 3 s at d = 1000 on a 2-vCPU VM; the
     # sweep is O(d log d) and took 0.09 s there.
     start = time.perf_counter()
-    modes = pareto_modes.__wrapped__(MAX_TRADEOFF_D, 0, Scheme.TYPE_I)
+    modes = pareto_points_bruteforce.__wrapped__(MAX_TRADEOFF_D, 0, Scheme.TYPE_I)
     assert modes == set(range(1, MAX_TRADEOFF_D + 1))
     assert time.perf_counter() - start < 1.5
 
