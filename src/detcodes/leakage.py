@@ -411,10 +411,10 @@ def audit_set_cap(sp: SecureParams, max_set_size: int | None = None) -> int:
     audit fits MAX_AUDIT_CELLS and MAX_AUDIT_SETS.  The cap must lie in
     [1, n], so that the sweep audits at least one set."""
     params = sp.base
-    cells = params.d * params.alpha * params.file_size
-    if cells > MAX_AUDIT_CELLS:
+    # At least d^2 cells (C(d,m) * F >= d), a bound checked before C(d,m) is computed.
+    if params.d**2 > MAX_AUDIT_CELLS or params.d * params.alpha * params.file_size > MAX_AUDIT_CELLS:
         raise ValueError(
-            f"(n,d,m) = ({params.n},{params.d},{params.m}) needs {cells} audit map cells; "
+            f"(n,d,m) = ({params.n},{params.d},{params.m}) needs too many audit map cells; "
             f"the audit limit is {MAX_AUDIT_CELLS}"
         )
     cap = sp.ell if max_set_size is None else max_set_size

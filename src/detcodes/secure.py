@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import operator
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -70,18 +69,7 @@ class SecureParams:
     scheme: Scheme
 
     def __post_init__(self) -> None:
-        d = self.base.d
-        _check_ell(self.scheme, d, self.ell)
-        if (
-            self.scheme is Scheme.TYPE_II
-            and self.ell > 0
-            and self.base.m > d - self.ell
-        ):
-            warnings.warn(
-                f"Type-II with m={self.base.m} > d-ell={d - self.ell} has zero "
-                "secret capacity; the matrix stores keys only",
-                stacklevel=3,  # past the dataclass __init__, to its caller
-            )
+        _check_ell(self.scheme, self.base.d, self.ell)
 
     @property
     def secret_count(self) -> int:

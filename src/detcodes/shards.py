@@ -411,10 +411,10 @@ class StripedCodec:
         # so partial sums stay below 2^49 < 2^53 (see `_mat`).
         if self.q >= 1 << 16:
             raise ValueError("shard symbols are at most 16 bits wide; need q < 2^16")
-        cells = params.d * max(params.alpha, params.n)
-        if cells > MAX_TABLE_CELLS:
+        # At least d^2 cells (n >= d), a bound checked before C(d,m) is computed.
+        if params.d**2 > MAX_TABLE_CELLS or params.d * max(params.alpha, params.n) > MAX_TABLE_CELLS:
             raise ValueError(
-                f"(n,d,m) = ({params.n},{params.d},{params.m}) needs {cells} "
+                f"(n,d,m) = ({params.n},{params.d},{params.m}) needs too many "
                 f"table cells; the codec limit is {MAX_TABLE_CELLS}"
             )
         self.layout: MessageLayout = build_layout(sparams)
@@ -447,9 +447,9 @@ class StripedCodec:
             return 1
         return max(1, -(-packed_symbols // per))
 
-    def _check_shards(self, shards: Sequence[ShardFile]) -> tuple[ShardHeader, int]:
-        """Check every shard of a recover or repair input before any payload
-        read; return the first header and the stripe count."""
+    def _check_shards(self, shards: Sequence[ShardFile | Shard]) -> tuple[ShardHeader, int]:
+        """Check every shard of a recover or repair input, by its header,
+        before any payload read; return the first header and the stripe count."""
         if not shards:
             raise ShardFormatError("no shards given")
         head, seen = shards[0].header, set()
@@ -467,9 +467,11 @@ class StripedCodec:
         stripes, rem = divmod(head.payload_symbols, self.params.alpha)
         if rem:
             raise ShardFormatError("payload length is not a whole number of stripes")
+        # Encode pads the packed file to whole stripes, so the recorded
+        # length and padding fix the symbol count exactly.
         packed = stripes * self.symbols_per_stripe - head.padding_symbols
-        if packed * symbol_width(self.q) < 8 * head.original_length:
-            raise ShardFormatError("not enough symbols for the recorded file length")
+        if packed != -(-8 * head.original_length // symbol_width(self.q)):
+            raise ShardFormatError("payload symbols do not match the recorded file length")
         return head, stripes
 
     def _blocks(self, stripes: int) -> Iterator[int]:
@@ -597,9 +599,9 @@ class StripedCodec:
             out.write(header.to_bytes())
         return headers
 
-    def _recover(self, shards: Sequence[ShardFile], out: BinaryIO) -> int:
+    def _recover(self, shards: Sequence[ShardFile | Shard], out: BinaryIO) -> int:
         """Write the file, block by block, to ``out`` from the first d of
-        ``shards``; return its length."""
+        ``shards``, which must be `ShardFile`s; return its length."""
         d, q, w = self.params.d, self.q, symbol_width(self.q)
         head, stripes = self._check_shards(shards)
         if len(shards) < d:
@@ -653,7 +655,8 @@ class StripedCodec:
 
     def recover_file(self, shards: Sequence[Shard]) -> bytes:
         buf = io.BytesIO()
-        self._recover([ShardFile(s.to_bytes()) for s in shards], buf)
+        d = self.params.d  # only the d shards that are read are packed
+        self._recover([*(ShardFile(s.to_bytes()) for s in shards[:d]), *shards[d:]], buf)
         return buf.getvalue()
 
     def repair_shard(self, failed: int, helpers: Sequence[Shard]) -> tuple[Shard, int]:

@@ -330,7 +330,6 @@ def test_decoders_agree_with_the_audit(n, d, m, scheme, q):
             assert not isinstance(err.value, InconsistentObservationError)
 
 
-@pytest.mark.filterwarnings("ignore:Type-II with m=")
 def test_decode_keys_type_ii_ell_equals_d():
     ps, lay, psi, s, k, M = make_instance(8, 6, 2, 6, Scheme.TYPE_II, seed=16)
     L = [1, 2, 4, 5, 7, 8]

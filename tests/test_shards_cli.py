@@ -6,8 +6,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,33 @@ def test_header_rejects_garbage():
         ShardHeader.from_bytes(b"NOPE" + b"\0" * 48)
     with pytest.raises(ShardFormatError):
         ShardHeader.from_bytes(b"DETC")
+    raw = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 1, 15, True, 0, 20).to_bytes()
+    with pytest.raises(ShardFormatError, match="unsupported format version 3"):
+        ShardHeader.from_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(ShardFormatError, match="too short for a header"):
+        ShardHeader.from_bytes(raw[:60])  # longer than a v1 header, shorter than v2
+    with pytest.raises(ShardFormatError, match="unknown scheme tag 3"):
+        ShardHeader.from_bytes(raw[:8] + (3).to_bytes(4, "little") + raw[12:])
+
+
+def test_shard_truncated_after_opening_ends_early(tmp_path):
+    # The size is checked when a shard is opened; a file cut short later
+    # fails on a read past what opening buffered (8 KiB by default), and
+    # the output path stays as it was.
+    _, files = _cli_encoded(tmp_path, 50_000)
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier contents")
+    with contextlib.ExitStack() as stack:
+        opened = [stack.enter_context(ShardFile(p)) for p in files[:6]]
+        codec = StripedCodec(opened[0].header.secure_params())
+        os.truncate(files[0], opened[0].header.size + 10)
+        tail = np.empty(10, dtype=np.uint8)
+        with pytest.raises(ShardFormatError, match="shard for node 1 ended early"):
+            opened[0].read_payload(opened[0].header.payload_bytes - len(tail), tail)
+        with pytest.raises(ShardFormatError, match="shard for node 1 ended early"):
+            codec.recover_to(opened, out)
+    assert out.read_bytes() == b"earlier contents"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_shard_file_roundtrip(tmp_path):
@@ -222,6 +250,8 @@ def test_recover_requires_d_shards():
         codec.recover_file(shards[:5])
     with pytest.raises(ShardFormatError):
         codec.recover_file([shards[0]] * 6)
+    with pytest.raises(ShardFormatError, match="no shards given"):
+        codec.recover_file([])
 
 
 def test_repair_rebuilds_byte_identical_shard():
@@ -258,8 +288,7 @@ def test_empty_file_single_padded_stripe():
 
 
 def test_zero_capacity_layout_rejects_data():
-    with pytest.warns(UserWarning):
-        codec = StripedCodec(SecureParams(system(8, 6, 5), 3, Scheme.TYPE_II))
+    codec = StripedCodec(SecureParams(system(8, 6, 5), 3, Scheme.TYPE_II))
     with pytest.raises(ValueError):
         codec.encode_file(b"data", seed=0, seed_present=True)
     shards = codec.encode_file(b"", seed=0, seed_present=True)
@@ -394,7 +423,9 @@ def test_float_products_exact_at_worst_case(n, d, m, scheme, ell):
     keys[2] = rng.integers(0, q, layout.key_count)
     mb = codec.assemble_batch(secrets, keys)
     cb = codec.encode_batch(mb)
-    header = ShardHeader(FORMAT_VERSION, scheme, q, n, d, m, ell, 1, 3 * alpha, True, 0, 0)
+    # An empty file padded to 3 stripes, as the header records it.
+    pad = 3 * layout.secret_count
+    header = ShardHeader(FORMAT_VERSION, scheme, q, n, d, m, ell, 1, 3 * alpha, True, 0, pad)
     shards = [
         Shard(replace(header, node_id=i), cb[:, i - 1, :].reshape(-1))
         for i in range(1, n + 1)
@@ -630,7 +661,7 @@ def test_block_loop_matches_one_batch(tmp_path, name, shape):
 
 def test_block_loop_empty_payload_header():
     # A header with no stripes at all: recover returns the empty file (or
-    # finds too few symbols for a nonzero length), repair an empty shard.
+    # refuses a nonzero length, which no symbols hold), repair an empty shard.
     codec = make_codec()
     header = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 1, 0, True, 0, 0)
     shards = [Shard(replace(header, node_id=i), np.array([])) for i in range(1, 9)]
@@ -639,9 +670,9 @@ def test_block_loop_empty_payload_header():
     assert rebuilt.to_bytes() == replace(header, node_id=8).to_bytes()
     assert bandwidth == 0
     long = [Shard(replace(h.header, original_length=5), h.symbols) for h in shards[:6]]
-    with pytest.raises(ShardFormatError, match="not enough symbols"):
+    with pytest.raises(ShardFormatError, match="do not match the recorded file length"):
         codec.recover_file(long)
-    with pytest.raises(ShardFormatError, match="not enough symbols"):
+    with pytest.raises(ShardFormatError, match="do not match the recorded file length"):
         codec.repair_shard(8, long)
 
 
@@ -701,6 +732,26 @@ def test_codec_memory_stays_within_payload_multiples():
     assert encode_peak <= 4.0 * 8 * payload
     assert recover_peak <= 2.5 * 6 * payload
     assert repair_peak <= 0.5 * 6 * payload
+
+
+def test_recover_file_packs_only_the_shards_it_reads():
+    # Shards past the first d are checked by their headers alone, so more
+    # shards cost no more memory (before, 2.97 MiB from 8 against 2.47 MiB
+    # from 6, by tracemalloc).
+    codec = make_codec()
+    data = np.random.default_rng(5).integers(0, 256, 256 * 1024, dtype=np.uint8).tobytes()
+    shards = codec.encode_file(data, 7, True)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for count in (6, 6, 8):  # the first run builds the decoder
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert codec.recover_file(shards[:count]) == data
+            peaks[count] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peaks[8] <= 1.05 * peaks[6]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1127,6 +1178,62 @@ def test_cli_hostile_header_rejected_quickly(tmp_path, capsys, n, d, m, q):
     assert all(line.startswith("error: ") and f"limit is {MAX_TABLE_CELLS}" in line for line in err)
 
 
+def test_cli_zero_capacity_shards_recover_and_repair_without_warnings(tmp_path, capsys):
+    # Type-II with m = 5 > d - ell = 3 stores keys only: an empty file
+    # encodes, recovers and repairs, and no op warns.
+    (tmp_path / "empty.bin").write_bytes(b"")
+    flags = ["--n", 8, "--d", 6, "--m", 5, "--scheme", "type2", "--ell", 3, "--seed", 1]
+    files = [tmp_path / "s" / f"shard_{i:03d}.detc" for i in range(1, 9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("encode", tmp_path / "empty.bin", "--out", tmp_path / "s", *flags) == 0
+        assert run_cli("recover", *files[:6], "--out", tmp_path / "r.bin") == 0
+        assert run_cli("repair", *files[1:7], "--failed", 1, "--out", tmp_path / "r.detc") == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "r.bin").read_bytes() == b""
+    assert (tmp_path / "r.detc").read_bytes() == files[0].read_bytes()
+
+
+HEADER_FIELDS = [
+    "version", "scheme-tag", "q", "n", "d", "m", "ell", "node-id",
+    "payload-symbols", "seed-present", "original-length", "padding-symbols",
+]
+
+
+@pytest.mark.parametrize("field", range(len(HEADER_FIELDS)), ids=HEADER_FIELDS)
+def test_cli_header_field_edits_give_the_file_or_exit_2(tmp_path, capsys, field):
+    # One 4-byte field of the v2 header (after the magic) set to each
+    # value, in node 1's shard or in every shard.  With every warning an
+    # error, recover and repair each either exit 0 with the file, or with
+    # node 8's payload under the helpers' header, or exit 2 with one error
+    # line, in bounded time.
+    data, files = _cli_encoded(tmp_path / "a", 5000)
+    originals = [p.read_bytes() for p in files]
+    at = 4 + 4 * field
+    values = [0, 1, 2, 3, 5, 11, 65521, 65537, 2**31 - 1, 2**32 - 1]
+    for value, everywhere in product(values, (False, True)):
+        for path, raw in zip(files, originals):
+            edit = everywhere or path == files[0]
+            path.write_bytes(raw[:at] + value.to_bytes(4, "little") + raw[at + 4 :] if edit else raw)
+        for command, extra in (("recover", []), ("repair", ["--failed", 8])):
+            out = tmp_path / command
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            start = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = run_cli(command, *files[:6], *extra, "--out", out)
+            assert time.perf_counter() - start < 2
+            err = capsys.readouterr().err.splitlines()
+            case = (HEADER_FIELDS[field], value, everywhere, command, err)
+            if rc == 0:
+                head = ShardHeader.from_bytes(files[0].read_bytes())
+                repaired = replace(head, node_id=8).to_bytes() + originals[7][head.size :]
+                assert out.read_bytes() == (data if command == "recover" else repaired), case
+            else:
+                assert rc == 2 and len(err) == 1 and err[0].startswith("error: "), case
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [
@@ -1136,15 +1243,17 @@ def test_cli_hostile_header_rejected_quickly(tmp_path, capsys, n, d, m, q):
         (("--n", 10**9, "--d", 6, "--m", 2, "--scheme", "type1", "--ell", 1), "audit limit is 4096 sets"),
         (("--n", 10**12, "--d", 6, "--m", 2, "--scheme", "type1", "--ell", 1), "needs 2 <= q <= 2^31 + 1"),
         (("--n", 8, "--d", 6, "--m", 2, "--q", 2**61 - 1), "needs 2 <= q <= 2^31 + 1"),
+        (("--n", 2000001, "--d", 2000000, "--m", 1000000, "--q", 2000003), "audit limit is 16777216"),
     ],
-    ids=["cell-maps", "fill-order", "sets", "nodes", "default-q", "huge-q"],
+    ids=["cell-maps", "fill-order", "sets", "nodes", "default-q", "huge-q", "huge-d"],
 )
 def test_cli_audit_oversized_code_rejected_quickly(capsys, flags, message):
     # d*C(d,m)*F cells: 2.2e9 int64 entries (16 GiB) at (16,14,7), and
     # C(50,25) = 1.3e14 fill-order cells at (60,50,25); C(3000,3) = 4.5e9
     # sets, or 10^9 one-node sets (a 7 TiB Psi); no prime q above n = 10^12
-    # that int64 arithmetic can hold; and a prime q = 2^61 - 1 refused
-    # before it is tested for primality.
+    # that int64 arithmetic can hold; a prime q = 2^61 - 1 refused
+    # before it is tested for primality; and d = 2*10^6, whose C(d, d/2)
+    # of 600,000 digits is refused on d^2 cells before it is computed.
     start = time.perf_counter()
     assert run_cli("audit", *flags) == 2
     assert time.perf_counter() - start < 2
@@ -1160,6 +1269,8 @@ def test_cli_audit_oversized_code_rejected_quickly(capsys, flags, message):
          "needs 2 <= q <= 2^31 + 1"),
         (("encode", "in.bin", "--out", "sh", "--n", 10**12, "--d", 6, "--m", 2),
          "needs 2 <= q <= 2^31 + 1"),
+        (("encode", "in.bin", "--out", "sh", "--n", 20001, "--d", 20000, "--m", 10000, "--q", 20011),
+         "the codec limit is 131072"),
         (("pareto", "--d", 100000, "--ell", 0, "--scheme", "type1"), "trade-off limit d <= 1000"),
         (("pareto", "--d", 100000, "--ell", 2), "trade-off limit d <= 1000"),
         (("tradeoff", "--d", "1..1000000000", "--ell", 0), "holds more than 1001 values"),
@@ -1167,7 +1278,7 @@ def test_cli_audit_oversized_code_rejected_quickly(capsys, flags, message):
         (("tradeoff", "--d", "1001", "--ell", 0), "trade-off limit d <= 1000"),
         (("tradeoff", "--d", "1..1000", "--ell", 0), "trade-off limit is 10000"),
     ],
-    ids=["encode-huge-q", "encode-default-q", "pareto-type1", "pareto-type2",
+    ids=["encode-huge-q", "encode-default-q", "encode-huge-d", "pareto-type1", "pareto-type2",
          "tradeoff-d-range", "tradeoff-ell-range", "tradeoff-d", "tradeoff-rows"],
 )
 def test_cli_oversized_request_rejected_quickly(tmp_path, monkeypatch, capsys, argv, message):
