@@ -116,11 +116,12 @@ def cmd_repair(args: argparse.Namespace) -> int:
         helpers = [stack.enter_context(ShardFile(p)) for p in args.shards]
         codec = StripedCodec(helpers[0].header.secure_params())
         bandwidth = codec.repair_to(args.failed, helpers, args.out)
-    params = codec.params
+    read = sum(h.header.payload_bytes for h in helpers)
     print(
         f"repaired node {args.failed} from {len(helpers)} helpers; "
-        f"repair bandwidth {bandwidth} symbols "
-        f"({params.beta} per helper per stripe)"
+        f"paper's repair bandwidth {bandwidth} symbols "
+        f"(stripes x d x beta, beta={codec.params.beta}); "
+        f"read {read} helper payload bytes (whole shards)"
     )
     return 0
 
@@ -238,7 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout closed early (`| head`): not a fault of the input
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 141  # 128 + SIGPIPE, as a shell reports a tool killed by it
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

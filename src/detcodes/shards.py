@@ -31,7 +31,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .code import SystemParams, repair_encoder, vandermonde_encoder
+from .code import SystemParams, vandermonde_encoder
 from .gf import Field
 from .gfmatrix import GFMatrix, _mod
 from .secure import KeyStream, MessageLayout, Scheme, SecureParams, assemble_rows, build_layout
@@ -398,7 +398,7 @@ class StripedCodec:
     as for one matrix, and handed around as its (stripes, d, alpha)
     transposed view, so that every product over GF(q) is one 2-D float64
     GEMM (`_mat`); packing transposes the codeword rows to payload order.
-    Repair recombines with `SystemParams.repair_table`.
+    Repair is one coefficient row, Psi_f Psi_H^-1, times the helpers' rows.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -423,11 +423,11 @@ class StripedCodec:
         self._psi64 = self.psi.a.astype(np.float64)
         self._decoders: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         # A block's widest float64 operand is its n x (stripes * alpha)
-        # codeword product or its d x (stripes * C(d,m-1)) repair product.
-        # Blocks hold whole 8-symbol packing groups (w bytes each) of the
-        # file and whole payload bytes of every shard at any payload width,
-        # so every block packs and unpacks on its own.
-        widest = max(params.n * params.alpha, params.d * len(params.repair_columns))
+        # codeword product; recover and repair read d <= n rows.  Blocks
+        # hold whole 8-symbol packing groups (w bytes each) of the file and
+        # whole payload bytes of every shard at any payload width, so every
+        # block packs and unpacks on its own.
+        widest = params.n * params.alpha
         unit = 8 // math.gcd(self.symbols_per_stripe, params.alpha, 8)
         self.block_stripes = max(unit, BLOCK_CELLS // widest // unit * unit)
 
@@ -617,33 +617,26 @@ class StripedCodec:
         return head.original_length
 
     def _repair(self, failed: int, helpers: Sequence[ShardFile], out: BinaryIO) -> int:
-        """Write shard ``failed``, its header and then its rows of every
-        block, to ``out`` from d helpers; return the repair bandwidth in
-        symbols (stripes x d helpers x beta independent symbols each)."""
-        params = self.params
+        """Write shard ``failed`` (its header, then each block: the 1 x d
+        row Psi_f Psi_H^-1, in the helpers' given order, times their rows
+        C_H = Psi_H M) to ``out``; return the paper's repair bandwidth in
+        symbols (stripes x d helpers x beta symbols each)."""
+        params, d = self.params, self.params.d
         head, stripes = self._check_shards(helpers)
-        # repair_encoder rejects a failed id outside [1, n] before any payload read or write.
-        xi = repair_encoder(failed, self.psi, params).a.astype(np.float64)
+        if not 1 <= failed <= params.n:
+            raise ValueError(f"node id {failed} out of range [1, {params.n}]")
         ids = [s.header.node_id for s in helpers]
-        if len(ids) != params.d:
-            raise ShardFormatError(f"need {params.d} distinct helper shards")
+        if len(ids) != d:
+            raise ShardFormatError(f"need {d} distinct helper shards")
         if failed in ids:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
-        helpers = sorted(helpers, key=lambda s: s.header.node_id)
         header = replace(head, node_id=failed)
-        d, alpha = params.d, params.alpha
-        psi_h = self.psi.submatrix(sorted(i - 1 for i in ids), range(d))
-        psi_h_inv = psi_h.inv().a.astype(np.float64)
+        psi_h_inv = self.psi.submatrix([i - 1 for i in ids], range(d)).inv()
+        coef = (self.psi.submatrix([failed - 1], range(d)) @ psi_h_inv).a.astype(np.float64)
         out.write(header.to_bytes())
         for block in self._payload_blocks(helpers, stripes):
-            payloads = _mod(_mat(block.reshape(-1, alpha), xi), self.q)
-            # M @ Xi^f, cell-major: entries below d(q-1)^2, so the m-term
-            # signed sums of the repair table stay below m*d*(q-1)^2 < 2^49
-            # in magnitude (d^2 <= MAX_TABLE_CELLS) and `_mod` reduces them.
-            mxi = _mat(psi_h_inv, payloads.reshape(d, -1))
-            cells = mxi.reshape(d, -1, xi.shape[1]).transpose(1, 0, 2)
-            rows = _mod(params.repair_table.signed_sums(cells), self.q)
-            out.write(_pack_payload(rows.reshape(1, -1), header.payload_bits))
+            row = _mod(_mat(coef, block.reshape(d, -1)), self.q)
+            out.write(_pack_payload(row, header.payload_bits))
         return stripes * d * params.beta
 
     # -- in memory -----------------------------------------------------------
@@ -712,8 +705,8 @@ class StripedCodec:
 # exactly whatever the summation order (Dumas, Giorgi & Pernet, "FFLAS and
 # FFPACK", ACM TOMS 2008), and numpy runs the product as one BLAS dgemm.
 #
-# `_mod` (`gfmatrix`) reduces such an integer exactly in float64.  Every
-# operand here is below 2^49; `_repair` reduces signed sums of that size.
+# `_mod` (`gfmatrix`) reduces such an integer exactly in float64; every
+# operand here is below 2^49 (`_repair`'s sums, d <= 362 terms, below 2^41).
 #
 # The byte <-> symbol packing is exact in float64 for the same reason.  A
 # packed symbol or byte is the floor of a sum of at most 8 terms v * 2^e

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -525,6 +526,51 @@ def test_v1_type_ii_shards_still_recover_and_repair():
         assert rebuilt.to_bytes() == shards[failed - 1].to_bytes()
 
 
+def _assert_repairs_in_both_helper_orders(codec, paths, tmp_path):
+    """Repair every node of the shard files ``paths`` (node order) from d
+    others, given in ascending and in reversed node order: each rebuilt
+    shard is byte-identical to the one on disk."""
+    n, d = codec.params.n, codec.params.d
+    out = tmp_path / "rebuilt.detc"
+    with contextlib.ExitStack() as stack:
+        opened = [stack.enter_context(ShardFile(p)) for p in paths]
+        stripes = opened[0].header.payload_symbols // codec.params.alpha
+        for failed in range(1, n + 1):
+            # The d nodes after the failed one, cyclically: every node helps.
+            ascending = sorted((opened[(failed + k) % n] for k in range(d)),
+                               key=lambda s: s.header.node_id)
+            for helpers in (ascending, ascending[::-1]):
+                assert codec.repair_to(failed, helpers, out) == stripes * d * codec.params.beta
+                assert out.read_bytes() == paths[failed - 1].read_bytes(), (failed, helpers[0].header.node_id)
+
+
+def test_v1_type_ii_shards_repair_in_any_helper_order(tmp_path):
+    # Repair of version-1 shards (16-bit payloads) writes version 1.
+    paths = sorted(V1_TYPE2.glob("shard_*.detc"))
+    head = read_shard(paths[0]).header
+    assert head.version == 1
+    codec = StripedCodec(head.secure_params())
+    _assert_repairs_in_both_helper_orders(codec, paths, tmp_path)
+
+
+@pytest.mark.parametrize("failed", [0, 9], ids=["0", "n+1"])
+def test_repair_refuses_failed_id_out_of_range_before_any_output(tmp_path, capsys, failed):
+    codec = make_codec()
+    shards = codec.encode_file(b"abc" * 300, seed=2, seed_present=True)
+    buf = io.BytesIO()
+    with pytest.raises(ValueError, match=rf"node id {failed} out of range \[1, 8\]"):
+        codec._repair(failed, [ShardFile(s.to_bytes()) for s in shards[1:7]], buf)
+    assert buf.getvalue() == b""
+    files = [tmp_path / f"shard_{s.header.node_id:03d}.detc" for s in shards[1:7]]
+    for path, s in zip(files, shards[1:7]):
+        path.write_bytes(s.to_bytes())
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run_cli("repair", *files, "--failed", failed, "--out", tmp_path / "rebuilt.detc") == 2
+    assert capsys.readouterr().err == f"error: node id {failed} out of range [1, 8]\n"
+    assert _tree(tmp_path) == before
+
+
 def test_out_of_field_symbol_rejected_on_read():
     # At q = 11 a payload byte holds two 4-bit symbols, the first in its low
     # nibble; 15 fits the nibble but not the field.
@@ -584,6 +630,9 @@ BLOCK_CODES = {
     "plain-14-12-4": (14, 12, 4, Scheme.PLAIN, 0, 65521),
     "type1-8-6-2": (8, 6, 2, Scheme.TYPE_I, 2, 11),
     "type2-8-6-2": (8, 6, 2, Scheme.TYPE_II, 2, 11),
+    # d * C(d,m-1) = 90 > n * alpha = 42: blocks are sized by the codeword
+    # product alone, whatever the repair table's width.
+    "plain-7-6-5": (7, 6, 5, Scheme.PLAIN, 0, 11),
 }
 
 
@@ -678,30 +727,29 @@ def test_block_loop_empty_payload_header():
 
 @pytest.mark.parametrize("shape", ["1", "2B+1"])
 def test_block_loop_does_per_file_setup_once(monkeypatch, shape):
-    # Inverting Psi_K or Psi_H and building Xi^f are per-file work; doing
-    # them per block costs a GF(q) elimination for every block.
+    # Inverting Psi_K or Psi_H is per-file work; doing it per block costs a
+    # GF(q) elimination for every block.  Repair needs nothing else: its
+    # coefficient row Psi_f Psi_H^-1 replaces Xi^f and the recombination.
     import detcodes.shards as shards_module
 
+    assert not hasattr(shards_module, "repair_encoder")
     codec = make_codec()
     stripes = {"1": 1, "2B+1": 2 * codec.block_stripes + 1}[shape]
     shards = codec.encode_file(_data_for_stripes(codec, stripes), seed=4, seed_present=True)
-    calls = {"inv": 0, "repair_encoder": 0}
-    inv, encoder = GFMatrix.inv, shards_module.repair_encoder
+    calls = {"inv": 0}
+    inv = GFMatrix.inv
 
     def counted_inv(self):
         calls["inv"] += 1
         return inv(self)
 
-    def counted_encoder(*args):
-        calls["repair_encoder"] += 1
-        return encoder(*args)
-
     monkeypatch.setattr(GFMatrix, "inv", counted_inv)
-    monkeypatch.setattr(shards_module, "repair_encoder", counted_encoder)
     codec.recover_file(shards[:6])
-    assert calls == {"inv": 1, "repair_encoder": 0}
+    assert calls == {"inv": 1}
     codec.repair_shard(1, shards[1:7])
-    assert calls == {"inv": 2, "repair_encoder": 1}
+    assert calls == {"inv": 2}
+    codec.repair_shard(8, shards[6::-1][:6])
+    assert calls == {"inv": 3}
 
 
 def test_codec_memory_stays_within_payload_multiples():
@@ -760,7 +808,7 @@ def test_float_mod_matches_integer_remainder(q, values):
     top = (1 << 49) // q
     edges = [0, 2**49 - 1, 2**49] + [k * q + e for k in (1, 2, top - 1, top) for e in (-1, 0, 1)]
     x = np.array(values + edges, dtype=np.int64)
-    x = np.concatenate([x, -x])  # `_repair` reduces signed sums
+    x = np.concatenate([x, -x])  # the parity closure reduces signed sums
     r = _mod(x.astype(np.float64), q)
     assert r.dtype == np.float64
     assert np.array_equal(r, x % q)
@@ -906,6 +954,15 @@ def test_fixed_seed_multi_block_encode_is_pinned(tmp_path, name):
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
 
 
+@pytest.mark.parametrize("name", list(MULTI_BLOCK_ENCODES))
+def test_multi_block_repair_in_any_helper_order(tmp_path, name):
+    flags, (n, d, m, scheme, ell, q), length, digests = MULTI_BLOCK_ENCODES[name]
+    codec = StripedCodec(SecureParams(system(n, d, m, q), ell, scheme))
+    paths = _encode_pinned(tmp_path, flags, hashlib.shake_256(name.encode()).digest(length))
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
+    _assert_repairs_in_both_helper_orders(codec, paths, tmp_path)
+
+
 # The keyed pinned encodes: CLI flags and input.
 KEYED_PINS = {
     **{
@@ -962,6 +1019,42 @@ def test_cli_encode_recover_repair(tmp_path):
     helpers = sorted(out.glob("shard_*.detc"))[:6]
     assert run_cli("repair", *helpers, "--failed", 4, "--out", lost) == 0
     assert lost.read_bytes() == original
+
+
+def test_cli_repair_reports_bandwidth_and_bytes_read(tmp_path, capsys):
+    _, files = _cli_encoded(tmp_path, 5000)
+    capsys.readouterr()
+    assert run_cli("repair", *files[1:7], "--failed", 1, "--out", tmp_path / "rebuilt.detc") == 0
+    # 5000 bytes are 13,334 3-bit symbols, 667 stripes of F_s = 20; each
+    # helper stores 667 * alpha = 10,005 4-bit symbols, 5003 payload bytes.
+    header = read_shard(files[1]).header
+    assert (header.payload_symbols, header.payload_bytes) == (667 * 15, 5003)
+    out = capsys.readouterr().out
+    assert "paper's repair bandwidth 20010 symbols (stripes x d x beta, beta=5)" in out  # 667 * 6 * 5
+    assert "read 30018 helper payload bytes (whole shards)" in out  # 6 * 5003
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_exits_quietly(buffered):
+    # A reader that leaves early (`| head`) is not a fault of the input: no
+    # `error:` line and no traceback, and exit 141 (128 + SIGPIPE), whether
+    # the first write or the final flush meets the closed pipe.
+    src = str(Path(detcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "detcodes", "audit", "--n", "8", "--d", "6", "--m", "2",
+             "--scheme", "type2", "--ell", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_cli_recover_insufficient_shards_fails(tmp_path):
