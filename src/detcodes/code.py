@@ -10,8 +10,8 @@ Node i stores row i of Psi @ M for an n x d Vandermonde encoder Psi.
 Three index tables on SystemParams fix the matrix: the fill order, the
 parity groups and the repair recombination.  `secure.assemble_rows`
 builds batches of message matrices from the first two, by one gather,
-and `recombine` applies the third; every single-matrix call is a batch
-of one, and the striped file codec uses the same functions.
+for the striped file codec too, and `recombine` applies the third to
+the repair packets' algebra; every single-matrix call is a batch of one.
 
 Conventions used throughout the package: node ids and subset elements are
 1-based (matching the matrix-row labels), all numpy indices are 0-based,
@@ -154,6 +154,13 @@ def info_cells(params: SystemParams) -> list[tuple[int, Subset]]:
     subsets = list(params.columns.subsets())
     rows, cols = params.info_index
     return [(x + 1, subsets[c]) for x, c in zip(rows.tolist(), cols.tolist())]
+
+
+def first_inner_column(params: SystemParams, ell: int) -> int:
+    """The first column whose m-subset lies inside [ell+1 : d]: the columns
+    that meet [ell] form a lexicographic prefix, C(d, m) - C(d - ell, m)
+    long (alpha when m > d - ell)."""
+    return params.alpha - binom(params.d - ell, params.m)
 
 
 def parity_partners(x: int, I: Subset) -> list[tuple[int, int, Subset]]:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .code import SystemParams, packet_support_basis, repair_encoder
+from .code import SystemParams, first_inner_column, packet_support_basis, repair_encoder
 from .gfmatrix import GFMatrix, echelon_pivots, matmul, rank_of
 from .secure import MessageLayout, Scheme, SecureParams, assemble_rows
 from .subsets import Subset, binom
@@ -222,11 +222,6 @@ def decode_keys_type_i(
     return _solve_keys(observe_node_contents(nodes, psi, layout), E.reshape(-1), secrets)
 
 
-def _left_column_count(params: SystemParams, ell: int) -> int:
-    """Columns whose subset meets [ell]; they form a lexicographic prefix."""
-    return params.alpha - binom(params.d - ell, params.m)
-
-
 def hat_column_labels(params: SystemParams, ell: int) -> list[tuple[int, Subset]]:
     """Labels (j, J) with j in [ell], J an (m-1)-subset of [j+1 : d].
 
@@ -316,7 +311,7 @@ def xi_top_fullrank(
     xi = GFMatrix(
         params.q, np.hstack([repair_encoder(f, psi, params).a for f in nodes])
     )
-    t = _left_column_count(params, ell)
+    t = first_inner_column(params, ell)
     row_subsets = tuple(list(params.columns.subsets())[:t])
     labels = tuple(hat_column_labels(params, ell))
     top_rank = rank_of(xi.a[:t], params.q)

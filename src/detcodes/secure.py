@@ -1,13 +1,13 @@
 """Secret/key placement for Type-I and Type-II secure message matrices.
 
-Type-I fills every free (V/W) cell in the top l rows with a random key and
-every free cell in the bottom d-l rows with a secret.  Type-II splits the
-matrix into blocks at row l and at the column boundary between subsets
-that touch [l] and subsets inside [l+1:d]; only free cells of the bottom-
-right block D (rows > l, column subsets inside [l+1:d]) hold secrets, and
-every parity cell inside D depends on secrets alone.  Slot numbering
-follows the same canonical column-lex, row-ascending scan as the
-non-secure fill order, with separate counters for secrets and keys.
+The free (V/W) cells that hold secrets form a rectangle of the message
+matrix: rows l+1..d, in the columns from a first one on.  Type-I takes
+every column, so each free cell in the top l rows holds a random key.
+Type-II takes only the columns whose m-subset lies inside [l+1:d], the
+last C(d-l, m) in lexicographic order (`code.first_inner_column`): that
+is block D, and every parity cell inside D depends on secrets alone.
+Slot numbering follows the same canonical column-lex, row-ascending scan
+as the non-secure fill order, with separate counters for secrets and keys.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .code import SystemParams, info_cells, read_only
+from .code import SystemParams, first_inner_column, info_cells, read_only
 from .gfmatrix import GFMatrix, _mod
 from .subsets import Subset, binom
 
@@ -80,30 +80,22 @@ class SecureParams:
         return key_count(self.base.d, self.ell, self.base.m, self.scheme)
 
 
-def _holds_secret(x: int, I: Subset, ell: int, scheme: Scheme) -> bool:
-    """Whether free cell (x, I) holds a secret; every other free cell holds a key."""
-    if scheme is Scheme.PLAIN or ell == 0:
-        return True
-    if scheme is Scheme.TYPE_I:
-        return x > ell
-    # Type-II: secrets live in block D only
-    return x > ell and I[0] > ell
-
-
 @dataclass(frozen=True)
 class MessageLayout:
-    """Role map over the d x alpha grid plus slot orderings."""
+    """Role map over the d x alpha grid plus slot orderings.  A free cell
+    holds a secret when its row is below ell and its column is at or after
+    the first secret column, `first_inner_column` for Type-II and 0 for
+    plain (whose ell is 0) and Type-I; every other free cell holds a key."""
 
     sparams: SecureParams
 
     @cached_property
     def _is_secret(self) -> np.ndarray:
-        """Whether each cell of the fill order holds a secret: the one scan."""
+        """Whether each cell of the fill order holds a secret: the rectangle."""
         sp = self.sparams
-        return np.array(
-            [_holds_secret(x, I, sp.ell, sp.scheme) for x, I in info_cells(sp.base)],
-            dtype=bool,
-        )
+        first = first_inner_column(sp.base, sp.ell) if sp.scheme is Scheme.TYPE_II else 0
+        rows, cols = sp.base.info_index
+        return (rows >= sp.ell) & (cols >= first)
 
     @cached_property
     def secret_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -152,10 +144,10 @@ class MessageLayout:
 
 def build_layout(sparams: SecureParams) -> MessageLayout:
     layout = MessageLayout(sparams)
-    # The scan counts must agree with the closed-form capacities.
+    # The count of the rectangle rule must agree with the closed-form capacity.
     if layout.secret_count != sparams.secret_count:
         raise AssertionError(
-            f"secret cell scan found {layout.secret_count}, formula says "
+            f"secret cell rule found {layout.secret_count}, formula says "
             f"{sparams.secret_count}"
         )
     return layout

@@ -134,11 +134,6 @@ class ShardHeader:
         base = SystemParams(self.n, self.d, self.m, Field(self.q))
         return SecureParams(base, self.ell, self.scheme)
 
-    def compatible_with(self, other: "ShardHeader") -> bool:
-        """Same coded object, ignoring which node the shard belongs to: every
-        field, the object id included, agrees."""
-        return replace(self, node_id=0) == replace(other, node_id=0)
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -233,7 +228,12 @@ def _output_path(out: str | Path, inputs: Sequence[ShardFile]) -> Path:
 @contextlib.contextmanager
 def _replacing(paths: Sequence[Path]) -> Iterator[list[io.BufferedWriter]]:
     """Open a temp file beside each path for writing.  On success rename each
-    over its path; on any error delete them all, leaving every path as it was."""
+    over its path; on any error delete them all, leaving every path as it was.
+    A path that is a directory, which no rename can replace, is refused first."""
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISDIR(os.lstat(path).st_mode):
+                raise IsADirectoryError(f"{path} is a directory")
     tmps: list[str] = []
     try:
         with contextlib.ExitStack() as stack:
@@ -454,7 +454,7 @@ class StripedCodec:
             raise ShardFormatError("no shards given")
         head, seen = shards[0].header, set()
         for h in (s.header for s in shards):
-            if not head.compatible_with(h):
+            if replace(h, node_id=head.node_id) != head:  # every other field, object id too
                 raise ShardFormatError(f"shard for node {h.node_id} belongs to a different object")
             if h.node_id in seen:
                 raise ShardFormatError(f"duplicate shard for node {h.node_id}")

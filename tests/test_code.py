@@ -7,6 +7,7 @@ from detcodes.code import (
     NodeShare,
     RepairPacket,
     encode,
+    first_inner_column,
     info_cells,
     multi_repair_rank,
     packet_support_basis,
@@ -154,6 +155,17 @@ def test_fill_order_and_info_symbol_roundtrip():
     assert M.a[0, 0] == syms[0] and M.a[1, 0] == syms[1]
     # fill order visits d*alpha - P cells
     assert sum(1 for _ in info_cells(ps)) == ps.file_size
+
+
+def test_first_inner_column_ends_the_columns_meeting_ell():
+    # A direct count: the columns whose subset meets [ell] come first.
+    for d in range(1, 8):
+        for m in range(1, d + 1):
+            ps = system(d + 1, d, m)
+            for ell in range(d + 1):
+                meets = [I[0] <= ell for I in ps.columns.subsets()]
+                first = first_inner_column(ps, ell)
+                assert meets == [True] * first + [False] * (ps.alpha - first), (d, m, ell)
 
 
 def test_vandermonde_encoder_convention():

@@ -13,6 +13,7 @@ from detcodes.secure import (
     _digit_table,
     assemble,
     build_layout,
+    ell_range,
     extract_secrets,
     key_count,
     secret_capacity,
@@ -75,6 +76,33 @@ def test_type_ii_blocks():
         assert x > 2 and all(y > 2 for y in I)
     for x, I in lay.key_cells:
         assert x <= 2 or any(y <= 2 for y in I)
+
+
+def _holds_secret_reference(x, I, ell, scheme):
+    """The paper's per-cell rule: free cell (x, I) holds a secret when
+    x > ell, and for Type-II also min I > ell (block D); plain has ell = 0."""
+    return x > ell and (scheme is not Scheme.TYPE_II or I[0] > ell)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_secret_cells_follow_the_paper_rule_over_a_grid(scheme):
+    for d in range(2, 8):
+        for m in range(1, d + 1):
+            for ell in ell_range(scheme, d):
+                lay = layout_for(d + 1, d, m, ell, scheme)
+                params = lay.sparams.base
+                free = info_cells(params)
+                rule = [_holds_secret_reference(x, I, ell, scheme) for x, I in free]
+                assert lay.secret_cells == tuple(c for c, s in zip(free, rule) if s)
+                assert lay.key_cells == tuple(c for c, s in zip(free, rule) if not s)
+                # Zero capacity exactly at the Type-II codes with m > d - ell.
+                assert (lay.secret_count == 0) == (scheme is Scheme.TYPE_II and m > d - ell)
+                subsets = list(params.columns.subsets())
+                for (rows, cols), cells in (
+                    (lay.secret_index, lay.secret_cells),
+                    (lay.key_index, lay.key_cells),
+                ):
+                    assert [(x + 1, subsets[c]) for x, c in zip(rows.tolist(), cols.tolist())] == list(cells)
 
 
 def test_type_ii_remark4_parities_inside_d_touch_only_secrets():

@@ -157,9 +157,6 @@ def test_header_roundtrip():
     assert ShardHeader.from_bytes(v1.to_bytes()) == v1
     assert len(v1.to_bytes()) == v1.size == 52
     assert (v1.payload_bits, v1.payload_bytes) == (16, 90)
-    assert not h.compatible_with(v1)
-    assert not h.compatible_with(replace(h, object_id=bytes(16)))
-    assert h.compatible_with(replace(h, node_id=5))
 
 
 @pytest.mark.parametrize(
@@ -1538,6 +1535,57 @@ def test_cli_out_naming_an_input_shard_is_refused(tmp_path, capsys, command, ali
     assert rc == 2
     assert capsys.readouterr().err == f"error: {out} is one of the input shards\n"
     assert _tree(tmp_path) == before  # every file byte-identical, no *.tmp left
+
+
+def test_cli_encode_over_a_directory_target_replaces_no_shard(tmp_path, capsys):
+    # No rename can put a shard over a directory; the refusal comes before
+    # any shard is replaced, so the old file keeps its 7 regular shards,
+    # more than d = 6, instead of 5 of them.
+    data, files = _cli_encoded(tmp_path, 5000)
+    files[2].unlink()
+    files[2].mkdir()
+    other = tmp_path / "other.bin"
+    other.write_bytes(os.urandom(5000))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run_cli("encode", other, "--out", files[0].parent, *TYPE2_FLAGS, "--seed", 4) == 2
+    assert _tree(tmp_path) == before  # every shard byte-identical, no *.tmp left
+    assert capsys.readouterr().err == f"error: {files[2]} is a directory\n"
+    back = tmp_path / "back.bin"
+    assert run_cli("recover", *files[:2], *files[3:7], "--out", back) == 0
+    assert back.read_bytes() == data
+
+
+@pytest.mark.parametrize("command", ["recover", "repair"])
+def test_cli_out_naming_a_directory_is_refused_before_any_read(tmp_path, capsys, monkeypatch, command):
+    _, files = _cli_encoded(tmp_path, 5000)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def no_payload_read(*args):
+        raise AssertionError("a payload was read")
+
+    monkeypatch.setattr(ShardFile, "read_payload", no_payload_read)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    if command == "recover":
+        rc = run_cli("recover", *files[1:7], "--out", out)
+    else:
+        rc = run_cli("repair", *files[1:7], "--failed", 1, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {out} is a directory\n"
+    assert _tree(tmp_path) == before and out.is_dir()
+
+
+def test_cli_out_symlink_to_a_directory_is_replaced(tmp_path):
+    # The refusal looks at the path itself (os.lstat): a symlink, even to a
+    # directory, is replaced by the output as before, and its target kept.
+    data, files = _cli_encoded(tmp_path, 5000)
+    (tmp_path / "dir").mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "dir")
+    assert run_cli("recover", *files[1:7], "--out", link) == 0
+    assert not link.is_symlink() and link.read_bytes() == data and (tmp_path / "dir").is_dir()
 
 
 def test_cli_type_ii_shards_store_four_bits_per_symbol(tmp_path):
