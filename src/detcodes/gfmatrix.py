@@ -6,6 +6,7 @@ one product, `matmul`, and in the one forward elimination behind ranks,
 `rref` and `inv`, which pivots on the first nonzero: over an exact field
 there is no numerical pivot strategy to worry about.  Row operations are
 vectorized, so ranks of the audits' few-hundred-row matrices stay cheap.
+The file codec's float products follow one float rule, `_float_dtype`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ def _period(q: int) -> int:
     return (1 << 62) // (q - 1) ** 2
 
 
+def _float_dtype(k: int, q: int) -> type[np.floating]:
+    """The float type of an exact product with inner dimension k over
+    residues below q: float32 when k(q-1)^2 < 2^24 - q, so that every
+    partial sum, and `_mod` of it, stays exact in its 24-bit significand
+    whatever the summation order (Dumas, Giorgi & Pernet, TOMS 2008);
+    float64 otherwise."""
+    return np.float32 if k * (q - 1) ** 2 < (1 << 24) - q else np.float64
+
+
 def matmul(a: object, b: object, q: int) -> np.ndarray:
     """Exact ``a @ b`` mod q as int64 residues, with numpy's matmul broadcasting;
     sums are reduced every `_period(q)` products along the inner dimension."""
@@ -46,14 +56,16 @@ def matmul(a: object, b: object, q: int) -> np.ndarray:
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Canonical residues, in float64, of integers |x| < 2^53 - q held
-    exactly in float64 or in an integer dtype.
+    """Canonical residues of integers |x| < 2^p - q: in x's float type, whose
+    significand has p bits (24 for float32, 53 for float64), or in float64
+    (p = 53) for an integer dtype.
 
     With x = kq + r (0 <= r < q), fl(x / q) is k + r/q rounded to nearest,
-    which is at least k, because k is a float64 and rounding is monotonic.
-    It cannot reach k + 1: (k + 1) - (k + r/q) = (q - r)/q >= 1/q, while
-    half an ulp of k is at most |k| * 2^-53 < 1/q whenever |kq| < 2^53; the
-    same holds for negative x, with k <= -1.  So floor(fl(x / q)) = k, and
+    which is at least k, because |k| < 2^p is a float and rounding is
+    monotonic.  It cannot reach k + 1: (k + 1) - (k + r/q) = (q - r)/q >=
+    1/q, while half an ulp of k is at most |k| * 2^-p < 1/q whenever
+    |kq| < 2^p, which |x| < 2^p - q ensures for either sign (k <= -1 for
+    negative x, where |kq| = |x| + r).  So floor(fl(x / q)) = k, and
     x - q*k is exact as well.
     """
     r = x / q

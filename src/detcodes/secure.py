@@ -121,8 +121,8 @@ class MessageLayout:
     def gather_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The tables of `assemble_rows`, over the d*alpha stacked rows
         [secrets; keys; parity sums]: the (d, alpha) row of every cell, and
-        each parity sum's m partner rows and float64 signs (`parity_table`);
-        partners are always secret or key rows."""
+        each parity sum's m partner rows and signs (`parity_table`), int8 so
+        as to keep the rows' dtype; partners are always secret or key rows."""
         params = self.sparams.base
         (prows, pcols), partners = params.parity_table
         row = np.empty((params.d, params.alpha), dtype=np.intp)
@@ -130,7 +130,7 @@ class MessageLayout:
         row[self.secret_index] = np.arange(self.secret_count)
         row[self.key_index] = np.arange(self.secret_count, free)
         row[prows, pcols] = np.arange(free, row.size)
-        signs = partners.signs.astype(np.float64)
+        signs = partners.signs.astype(np.int8)
         return read_only(row, row[partners.rows, partners.cols], signs)
 
     @property
@@ -156,10 +156,13 @@ def build_layout(sparams: SecureParams) -> MessageLayout:
 def assemble_rows(layout: MessageLayout, rows: np.ndarray) -> np.ndarray:
     """The (d, alpha, ...) message batch of a (d*alpha, ...) stack of rows
     whose first F_s + |Q| rows hold the secrets, then the keys, as residues
-    of any integer dtype or float64: the rows below them are set to the
-    parity sums, each reduced once, and one gather puts every row in its
-    cell.  A cell-major batch makes each cell one contiguous row."""
+    of an integer dtype or a float type that holds the parity sums exactly:
+    the rows below them are set to the parity sums, each reduced once, and
+    one gather puts every row in its cell, all in the rows' dtype.  A
+    cell-major batch makes each cell one contiguous row."""
     cells, partners, signs = layout.gather_table
+    # One dtype for einsum, which is about twice as slow on mixed ones.
+    signs = signs.astype(np.promote_types(signs.dtype, rows.dtype))
     sums = np.einsum("pk,pk...->p...", signs, np.take(rows, partners, axis=0))
     rows[len(rows) - len(sums) :] = _mod(sums, layout.sparams.base.q)
     return np.take(rows, cells, axis=0)

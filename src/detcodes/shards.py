@@ -33,7 +33,7 @@ import numpy as np
 
 from .code import SystemParams, vandermonde_encoder
 from .gf import Field
-from .gfmatrix import GFMatrix, _mod
+from .gfmatrix import GFMatrix, _float_dtype, _mod
 from .secure import KeyStream, MessageLayout, Scheme, SecureParams, assemble_rows, build_layout
 
 MAGIC = b"DETC"
@@ -47,9 +47,10 @@ _OBJECT_ID_TAG = b"detcodes object id v2"
 # (0.4 s at the bound on a 2-vCPU VM); a header claiming (n,d,m) = (45,40,20) would otherwise ask for 5.5e12.
 MAX_TABLE_CELLS = 1 << 17
 
-# Stripes are processed in blocks whose widest float64 operand holds about
-# this many cells (512 KiB), so that a block's temporaries stay in cache;
-# at d = 6 every product has inner dimension 6 and is bound by memory traffic.
+# Stripes are processed in blocks whose widest float operand holds about
+# this many cells (512 KiB in float64, 256 KiB in float32), so that a
+# block's temporaries stay in cache; every product has inner dimension d,
+# 6 at the default codes, and is bound by memory traffic.
 BLOCK_CELLS = 1 << 16
 
 _SCHEME_TAG = {Scheme.PLAIN: 0, Scheme.TYPE_I: 1, Scheme.TYPE_II: 2}
@@ -396,9 +397,11 @@ class StripedCodec:
     a (d, alpha, stripes) message array, in which each cell is one
     contiguous run of stripes, built by the one gather of `assemble_rows`
     as for one matrix, and handed around as its (stripes, d, alpha)
-    transposed view, so that every product over GF(q) is one 2-D float64
+    transposed view, so that every product over GF(q) is one 2-D float
     GEMM (`_mat`); packing transposes the codeword rows to payload order.
     Repair is one coefficient row, Psi_f Psi_H^-1, times the helpers' rows.
+    Blocks, Psi and the decoder and repair rows are float32 (sgemm) where
+    `_float_dtype(d, q)` admits it, as at q = 11, and float64 otherwise.
     """
 
     def __init__(self, sparams: SecureParams) -> None:
@@ -406,9 +409,6 @@ class StripedCodec:
         params = sparams.base
         self.params = params
         self.q = params.q
-        # These two bounds also keep the float64 products exact: entries
-        # are below q < 2^16 and inner dimensions (d, alpha) at most 2^17,
-        # so partial sums stay below 2^49 < 2^53 (see `_mat`).
         if self.q >= 1 << 16:
             raise ValueError("shard symbols are at most 16 bits wide; need q < 2^16")
         # At least d^2 cells (n >= d), a bound checked before C(d,m) is computed.
@@ -417,12 +417,14 @@ class StripedCodec:
                 f"(n,d,m) = ({params.n},{params.d},{params.m}) needs too many "
                 f"table cells; the codec limit is {MAX_TABLE_CELLS}"
             )
+        # Every product has inner dimension d: one rule picks its type (`_mat`).
+        self.dtype = _float_dtype(params.d, self.q)
         self.layout: MessageLayout = build_layout(sparams)
         self._code = (sparams.scheme.value, self.q, params.n, params.d, params.m, sparams.ell)
         self.psi: GFMatrix = vandermonde_encoder(params)
-        self._psi64 = self.psi.a.astype(np.float64)
+        self._psi = self.psi.a.astype(self.dtype)
         self._decoders: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        # A block's widest float64 operand is its n x (stripes * alpha)
+        # A block's widest float operand is its n x (stripes * alpha)
         # codeword product; recover and repair read d <= n rows.  Blocks
         # hold whole 8-symbol packing groups (w bytes each) of the file and
         # whole payload bytes of every shard at any payload width, so every
@@ -498,12 +500,12 @@ class StripedCodec:
     # -- batched message algebra -------------------------------------------
 
     def assemble_batch(self, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Message matrices of shape (stripes, d, alpha), float64, from
-        (stripes, F_s) secrets and (stripes, |Q|) keys that are residues
+        """Message matrices of shape (stripes, d, alpha), in ``self.dtype``,
+        from (stripes, F_s) secrets and (stripes, |Q|) keys that are residues
         already, as packed and key-stream symbols are: a view of the
         cell-major (d, alpha, stripes) block."""
         fs, free = secrets.shape[1], secrets.shape[1] + keys.shape[1]
-        rows = np.empty((self.params.d * self.params.alpha, len(secrets)), dtype=np.float64)
+        rows = np.empty((self.params.d * self.params.alpha, len(secrets)), dtype=self.dtype)
         rows[:fs], rows[fs:free] = secrets.T, keys.T
         return assemble_rows(self.layout, rows).transpose(2, 0, 1)
 
@@ -512,7 +514,7 @@ class StripedCodec:
         the cell-major (n, alpha, stripes) block."""
         b, d, alpha = mb.shape
         cells = mb.transpose(1, 2, 0).reshape(d, alpha * b)  # free when cell-major
-        cb = _mod(_mat(self._psi64, cells), self.q).astype(np.uint16)
+        cb = _mod(_mat(self._psi, cells), self.q).astype(np.uint16)
         return cb.reshape(self.params.n, alpha, b).transpose(2, 0, 1)
 
     def recover_batch(self, node_ids: Sequence[int], cb: np.ndarray) -> np.ndarray:
@@ -525,7 +527,7 @@ class StripedCodec:
             # secrets are computed.
             psi_inv = self.psi.submatrix([i - 1 for i in key], range(d)).inv()
             needed, local = np.unique(self.layout.secret_index[0], return_inverse=True)
-            self._decoders[key] = (psi_inv.a[needed].astype(np.float64), local)
+            self._decoders[key] = (psi_inv.a[needed].astype(self.dtype), local)
         decoder, local = self._decoders[key]
         rows = _mat(decoder, cb.transpose(1, 0, 2).reshape(d, -1))
         cells = rows.reshape(len(decoder), b, alpha).transpose(1, 0, 2)
@@ -632,7 +634,7 @@ class StripedCodec:
             raise ShardFormatError(f"failed node {failed} cannot be a helper")
         header = replace(head, node_id=failed)
         psi_h_inv = self.psi.submatrix([i - 1 for i in ids], range(d)).inv()
-        coef = (self.psi.submatrix([failed - 1], range(d)) @ psi_h_inv).a.astype(np.float64)
+        coef = (self.psi.submatrix([failed - 1], range(d)) @ psi_h_inv).a.astype(self.dtype)
         out.write(header.to_bytes())
         for block in self._payload_blocks(helpers, stripes):
             row = _mod(_mat(coef, block.reshape(d, -1)), self.q)
@@ -698,17 +700,18 @@ class StripedCodec:
             return self._repair(failed, helpers, fh)
 
 
-# Exact GF(q) products in float64.  Operands hold residues below q < 2^16
-# and every inner dimension (d or alpha) is at most MAX_TABLE_CELLS = 2^17,
-# both checked in StripedCodec.__init__.  So every partial sum of a product
-# is an integer below 2^17 * (2^16)^2 = 2^49 < 2^53, which float64 holds
-# exactly whatever the summation order (Dumas, Giorgi & Pernet, "FFLAS and
-# FFPACK", ACM TOMS 2008), and numpy runs the product as one BLAS dgemm.
+# Exact GF(q) products in the codec's float type.  Operands hold residues
+# below q, and every product has inner dimension d: Psi M, the secret rows
+# of Psi_K^-1 times d codeword rows, and the repair row times d helper
+# rows; a parity sum adds m <= d residues.  So every partial sum is an
+# integer below d(q-1)^2, which `_float_dtype(d, q)` (`gfmatrix`) keeps
+# below 2^24 - q in float32, and which StripedCodec.__init__'s bounds
+# (q < 2^16, d <= 362 from d^2 <= 2^17) keep below 2^41 in float64.  The
+# type holds it exactly whatever the summation order (Dumas, Giorgi &
+# Pernet, "FFLAS and FFPACK", ACM TOMS 2008), numpy runs the product as
+# one BLAS sgemm or dgemm, and `_mod` reduces it exactly.
 #
-# `_mod` (`gfmatrix`) reduces such an integer exactly in float64; every
-# operand here is below 2^49 (`_repair`'s sums, d <= 362 terms, below 2^41).
-#
-# The byte <-> symbol packing is exact in float64 for the same reason.  A
+# The byte <-> symbol packing stays in float64, exact for the same reason.  A
 # packed symbol or byte is the floor of a sum of at most 8 terms v * 2^e
 # (`_pack_weights`), each a dyadic rational below 2^22 with no bits below
 # 2^-14: a symbol's <= 3 bytes (below 2^8) shifted by -7 <= e <= 14, or a
@@ -718,8 +721,8 @@ class StripedCodec:
 
 
 def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for residue matrices, as exact integers in float64."""
-    return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    """a @ b for residue matrices, as exact integers in a's float type."""
+    return a @ np.asarray(b, dtype=a.dtype)
 
 
 def _floor_mod(x: np.ndarray, mask: int, out: np.ndarray) -> None:

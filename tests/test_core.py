@@ -104,9 +104,11 @@ def test_assembly_matches_per_cell_reference(q):
         for b in range(3):
             assert np.array_equal(assemble(layout, secrets[b], keys[b]).a, expected[b])
         # the cell-major batch of the residues: int64 (`assemble`, `cell_maps`),
-        # float64 (the codec) and uint16
+        # float64 and float32 (the codec) and uint16; float32 holds every
+        # parity sum of m <= 8 residues below 2^16 exactly, and the signs
+        # must not promote its rows
         free = np.concatenate([secrets, keys], axis=1).T % q
-        dtypes = [np.int64, np.float64] + ([np.uint16] if q < 1 << 16 else [])
+        dtypes = [np.int64, np.float64] + ([np.float32, np.uint16] if q < 1 << 16 else [])
         for dtype in dtypes:
             rows = np.zeros((params.d * params.alpha, 3), dtype=dtype)
             rows[: len(free)] = free

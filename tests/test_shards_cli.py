@@ -27,7 +27,7 @@ from detcodes.code import (
     system,
     vandermonde_encoder,
 )
-from detcodes.gfmatrix import GFMatrix
+from detcodes.gfmatrix import GFMatrix, _float_dtype, matmul
 from detcodes.leakage import AUDIT_CSV_HEADER
 from detcodes.secure import (
     KeyStream,
@@ -46,6 +46,7 @@ from detcodes.shards import (
     ShardFormatError,
     ShardHeader,
     StripedCodec,
+    _mat,
     _mod,
     pack_bytes,
     read_shard,
@@ -751,9 +752,10 @@ def test_block_loop_does_per_file_setup_once(monkeypatch, shape):
 
 def test_codec_memory_stays_within_payload_multiples():
     # tracemalloc sees numpy's buffers and is deterministic for fixed
-    # inputs.  Bounds: measured peaks (1.35x, 0.41x and 0.45x of the payload
-    # bytes involved, numpy 2.4) plus a margin; the whole-file codec needed
-    # 10.8x, 7.7x and 6.9x.
+    # inputs.  Bounds: measured peaks (1.35x, 0.38x and 0.38x of the payload
+    # bytes involved, numpy 2.4, float32 blocks at q = 11; 1.35x, 0.41x and
+    # 0.39x in float64) plus a margin; the whole-file codec needed 10.8x,
+    # 7.7x and 6.9x.
     codec = make_codec()
     warm = codec.encode_file(b"warm up the tables", seed=1, seed_present=True)
     codec.recover_file(warm[:6])
@@ -800,15 +802,66 @@ def test_recover_file_packs_only_the_shards_it_reads():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([2, 11, 257, 65521]), st.lists(st.integers(0, 2**49), max_size=40))
-def test_float_mod_matches_integer_remainder(q, values):
-    top = (1 << 49) // q
-    edges = [0, 2**49 - 1, 2**49] + [k * q + e for k in (1, 2, top - 1, top) for e in (-1, 0, 1)]
+@given(
+    st.sampled_from(
+        [(np.float64, q) for q in (2, 11, 257, 65521)] + [(np.float32, q) for q in (2, 11, 257, 1669)]
+    ),
+    st.data(),
+)
+def test_float_mod_matches_integer_remainder(case, data):
+    # The largest |x| checked: 2^49 in float64, and in float32 the top of
+    # the range that `_float_dtype` admits, |x| < 2^24 - q.
+    dtype, q = case
+    limit = 2**49 if dtype is np.float64 else 2**24 - q - 1
+    values = data.draw(st.lists(st.integers(0, limit), max_size=40))
+    top = (limit - 1) // q
+    edges = [0, limit - 1, limit] + [k * q + e for k in (1, 2, top - 1, top) for e in (-1, 0, 1)]
     x = np.array(values + edges, dtype=np.int64)
     x = np.concatenate([x, -x])  # the parity closure reduces signed sums
-    r = _mod(x.astype(np.float64), q)
-    assert r.dtype == np.float64
+    r = _mod(x.astype(dtype), q)
+    assert r.dtype == dtype
     assert np.array_equal(r, x % q)
+
+
+def test_float_rule_edge():
+    # k(q-1)^2 < 2^24 - q: at d = 6, q = 1669 is the last prime in float32.
+    assert _float_dtype(6, 1669) is np.float32 and _float_dtype(6, 1693) is np.float64
+    assert all(_float_dtype(d, 65521) is np.float64 for d in range(1, 363))
+    for q, dtype in ((11, np.float32), (65521, np.float64)):
+        codec = StripedCodec(SecureParams(system(8, 6, 2, q), 2, Scheme.TYPE_II))
+        secrets = np.zeros((3, codec.symbols_per_stripe), dtype=np.uint16)
+        keys = np.zeros((3, codec.layout.key_count), dtype=np.uint16)
+        assert codec.assemble_batch(secrets, keys).dtype == dtype
+    # One step past the edge, float32 would round: this sum is odd and
+    # above 2^24.
+    a, b = np.array([[1692] * 5 + [1691]]), np.array([[1692]] * 5 + [[1691]])
+    assert _mat(a.astype(np.float32), b)[0, 0] != (a @ b)[0, 0] == 17173801
+
+
+@pytest.mark.parametrize("q", [1669, 1693])
+@pytest.mark.parametrize("scheme, ell", [(Scheme.TYPE_II, 2), (Scheme.PLAIN, 0)])
+def test_codec_is_exact_on_both_sides_of_the_float_rule(tmp_path, q, scheme, ell):
+    # 16-bit payloads of 10-bit symbols, in float32 at q = 1669 and in
+    # float64 at q = 1693.
+    codec = StripedCodec(SecureParams(system(8, 6, 2, q), ell, scheme))
+    d = codec.params.d
+    assert codec.dtype is (np.float32 if q == 1669 else np.float64)
+    # Sums of about d(q-1)^2, odd (the last column is q - 2): at q = 1693
+    # they pass 2^24, where float32 would round them.
+    worst = np.full((8, d), q - 1, dtype=codec.dtype)
+    worst[:, -1] = q - 2
+    assert np.array_equal(_mod(_mat(worst, worst.T), q), matmul(worst, worst.T, q))
+    data = _data_for_stripes(codec, 2 * codec.block_stripes + 3, seed=q)
+    source = tmp_path / "input.bin"
+    source.write_bytes(data)
+    codec.encode_to(source, tmp_path / "shards", seed=5, seed_present=True)
+    paths = sorted((tmp_path / "shards").glob("shard_*.detc"))
+    with contextlib.ExitStack() as stack:
+        opened = [stack.enter_context(ShardFile(p)) for p in paths]
+        for readers in (opened[:d], opened[:1:-1]):
+            assert codec.recover_to(readers, tmp_path / "out.bin") == len(data)
+            assert (tmp_path / "out.bin").read_bytes() == data
+    _assert_repairs_in_both_helper_orders(codec, paths, tmp_path)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -978,7 +1031,7 @@ KEYED_PINS = {
 @pytest.mark.parametrize("name", list(KEYED_PINS))
 def test_pinned_keys_are_the_reference_key_stream(tmp_path, name):
     # Decode every stripe's message matrix from the last d shards with
-    # Psi_K^-1 (exact GFMatrix algebra, not the codec's float64 batches):
+    # Psi_K^-1 (exact GFMatrix algebra, not the codec's float batches):
     # the key slots of the stripes, one stripe after another, must hold the
     # word-by-word reference stream of the seed.
     shards = [read_shard(p) for p in _encode_pinned(tmp_path, *KEYED_PINS[name])]
