@@ -114,10 +114,6 @@ class MessageLayout:
         return tuple(c for c, s in zip(info_cells(self.sparams.base), self._is_secret) if s)
 
     @cached_property
-    def key_cells(self) -> tuple[tuple[int, Subset], ...]:
-        return tuple(c for c, s in zip(info_cells(self.sparams.base), self._is_secret) if not s)
-
-    @cached_property
     def gather_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The tables of `assemble_rows`, over the d*alpha stacked rows
         [secrets; keys; parity sums]: the (d, alpha) row of every cell, and

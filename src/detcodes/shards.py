@@ -136,34 +136,41 @@ class ShardHeader:
         return SecureParams(base, self.ell, self.scheme)
 
 
-@dataclass(frozen=True)
 class Shard:
-    header: ShardHeader
-    symbols: np.ndarray  # read-only uint16, stripe after stripe
+    """A shard in memory as its bytes, the header and then the packed
+    payload, beside the parsed ``header``; the codec reads them as they are."""
 
-    def __post_init__(self) -> None:
-        s, node = np.asarray(self.symbols), self.header.node_id
+    def __init__(self, header: ShardHeader, symbols: np.ndarray) -> None:
+        s, node = np.asarray(symbols), header.node_id
         if s.size and s.dtype.kind not in "iu":
             raise ShardFormatError(f"shard for node {node} holds {s.dtype} symbols, not integers")
-        if s.size and ((s.dtype.kind == "i" and s.min() < 0) or s.max() >= self.header.q):
-            raise ShardFormatError(f"shard for node {node} holds symbols outside GF({self.header.q})")
-        s = s.astype(np.uint16)  # a copy: the caller's array stays its own
+        if s.size and ((s.dtype.kind == "i" and s.min() < 0) or s.max() >= header.q):
+            raise ShardFormatError(f"shard for node {node} holds symbols outside GF({header.q})")
+        if len(s) != header.payload_symbols:
+            raise ShardFormatError(f"payload has {len(s)} symbols, header says {header.payload_symbols}")
+        self.header = header
+        self._raw = header.to_bytes() + _pack_payload(s[None], header.payload_bits).tobytes()
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """The payload, decoded and checked (`_unpack_payload`): a new read-only uint16 array."""
+        raw = np.frombuffer(self._raw, dtype=np.uint8)[None, self.header.size :]
+        s = _unpack_payload(raw, [self.header], self.header.payload_symbols)[0].astype(np.uint16)
         s.setflags(write=False)
-        object.__setattr__(self, "symbols", s)
-        if len(s) != self.header.payload_symbols:
-            raise ShardFormatError(
-                f"payload has {len(s)} symbols, header says {self.header.payload_symbols}"
-            )
+        return s
 
     def to_bytes(self) -> bytes:
-        return self.header.to_bytes() + _pack_payload(self.symbols[None], self.header.payload_bits).tobytes()
+        return self._raw
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "Shard":
-        with ShardFile(raw) as fh:
-            body = np.empty((1, fh.header.payload_bytes), dtype=np.uint8)
-            fh.read_payload(0, body[0])
-        return cls(fh.header, _unpack_payload(body, [fh.header], fh.header.payload_symbols)[0])
+    def from_bytes(cls, raw: bytes | bytearray | memoryview) -> "Shard":
+        """Check the header and the size (`ShardFile`), decoding nothing, and
+        keep an immutable copy of ``raw``."""
+        shard = cls.__new__(cls)
+        shard._raw = bytes(raw)
+        with ShardFile(shard._raw) as fh:
+            shard.header = fh.header
+        return shard
 
 
 class ShardFile:
@@ -171,8 +178,8 @@ class ShardFile:
 
     Opening refuses a path that is not a regular file, reads and checks the
     header, and checks the size against it, before any payload is read; the
-    codec decodes and checks each block's symbols as it reads them, with
-    the same rules as `Shard`.  ``stat`` is the file's `os.fstat` (None in
+    codec decodes and checks each block's symbols as it reads them, as
+    `Shard.symbols` does.  ``stat`` is the file's `os.fstat` (None in
     memory), by which the streaming calls refuse an output that is an input.
     """
 
@@ -443,13 +450,11 @@ class StripedCodec:
         per = self.symbols_per_stripe
         if per == 0:
             if packed_symbols:
-                raise ValueError(
-                    "layout has zero secret capacity and cannot store data"
-                )
+                raise ValueError("layout has zero secret capacity and cannot store data")
             return 1
         return max(1, -(-packed_symbols // per))
 
-    def _check_shards(self, shards: Sequence[ShardFile | Shard]) -> tuple[ShardHeader, int]:
+    def _check_shards(self, shards: Sequence[ShardFile]) -> tuple[ShardHeader, int]:
         """Check every shard of a recover or repair input, by its header,
         before any payload read; return the first header and the stripe count."""
         if not shards:
@@ -601,9 +606,9 @@ class StripedCodec:
             out.write(header.to_bytes())
         return headers
 
-    def _recover(self, shards: Sequence[ShardFile | Shard], out: BinaryIO) -> int:
+    def _recover(self, shards: Sequence[ShardFile], out: BinaryIO) -> int:
         """Write the file, block by block, to ``out`` from the first d of
-        ``shards``, which must be `ShardFile`s; return its length."""
+        ``shards``; return its length."""
         d, q, w = self.params.d, self.q, symbol_width(self.q)
         head, stripes = self._check_shards(shards)
         if len(shards) < d:
@@ -650,8 +655,7 @@ class StripedCodec:
 
     def recover_file(self, shards: Sequence[Shard]) -> bytes:
         buf = io.BytesIO()
-        d = self.params.d  # only the d shards that are read are packed
-        self._recover([*(ShardFile(s.to_bytes()) for s in shards[:d]), *shards[d:]], buf)
+        self._recover([ShardFile(s.to_bytes()) for s in shards], buf)
         return buf.getvalue()
 
     def repair_shard(self, failed: int, helpers: Sequence[Shard]) -> tuple[Shard, int]:
@@ -691,9 +695,7 @@ class StripedCodec:
         with _replacing([_output_path(out, shards)]) as (fh,):
             return self._recover(shards, fh)
 
-    def repair_to(
-        self, failed: int, helpers: Sequence[ShardFile], out: str | Path
-    ) -> int:
+    def repair_to(self, failed: int, helpers: Sequence[ShardFile], out: str | Path) -> int:
         """Write shard ``failed`` to ``out``, one block at a time; return the
         repair bandwidth in symbols."""
         with _replacing([_output_path(out, helpers)]) as (fh,):

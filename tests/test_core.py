@@ -14,6 +14,7 @@ from detcodes.leakage import cell_maps
 from detcodes.secure import Scheme, SecureParams, assemble, assemble_rows, build_layout
 from detcodes.shards import StripedCodec
 from detcodes.subsets import ind
+from test_secure import key_cells
 
 FIELDS = [11, 65521, 2**31 - 1]
 
@@ -49,7 +50,7 @@ def assemble_cells(layout, secrets, keys):
     """Secrets and keys slot by slot, then the parity loop."""
     params = layout.sparams.base
     arr = np.zeros((params.d, params.alpha), dtype=np.int64)
-    for values, cells in ((secrets, layout.secret_cells), (keys, layout.key_cells)):
+    for values, cells in ((secrets, layout.secret_cells), (keys, key_cells(layout))):
         for value, (x, I) in zip(values, cells):
             arr[x - 1, params.columns.rank(I)] = int(value) % params.q
     fill_parity_cells(arr, params)
@@ -79,7 +80,7 @@ def cell_maps_slotwise(layout):
     T = np.zeros((params.d, params.alpha, total), dtype=np.int64)
     for slot, (x, I) in enumerate(layout.secret_cells):
         T[x - 1, cols.rank(I), slot] = 1
-    for slot, (x, I) in enumerate(layout.key_cells):
+    for slot, (x, I) in enumerate(key_cells(layout)):
         T[x - 1, cols.rank(I), fs + slot] = 1
     for J in params.parity_groups.subsets():
         x, I = J[-1], J[:-1]

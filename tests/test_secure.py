@@ -26,6 +26,14 @@ def layout_for(n, d, m, ell, scheme, q=None):
     return build_layout(SecureParams(system(n, d, m, q), ell, scheme))
 
 
+def key_cells(lay):
+    """The key slots' cells (x, I) in slot order: the free cells, in the
+    fill order of `info_cells`, that hold no secret (`key_index` is checked
+    against them in `test_secret_cells_follow_the_paper_rule_over_a_grid`)."""
+    secret = set(lay.secret_cells)
+    return [c for c in info_cells(lay.sparams.base) if c not in secret]
+
+
 def test_capacity_examples_d6_m2_ell2():
     assert secret_capacity(6, 2, 2, Scheme.TYPE_I) == 40
     assert key_count(6, 2, 2, Scheme.TYPE_I) == 30
@@ -66,7 +74,7 @@ def test_type_i_top_row_key_count_identity():
         for m in range(1, d + 1):
             for ell in range(1, d):
                 lay = layout_for(d + 2, d, m, ell, Scheme.TYPE_I)
-                assert all(x <= ell for x, _ in lay.key_cells)
+                assert all(x <= ell for x, _ in key_cells(lay))
                 assert lay.key_count == ell * binom(d, m) - binom(ell, m + 1)
 
 
@@ -74,7 +82,7 @@ def test_type_ii_blocks():
     lay = layout_for(8, 6, 2, 2, Scheme.TYPE_II)
     for x, I in lay.secret_cells:
         assert x > 2 and all(y > 2 for y in I)
-    for x, I in lay.key_cells:
+    for x, I in key_cells(lay):
         assert x <= 2 or any(y <= 2 for y in I)
 
 
@@ -93,16 +101,14 @@ def test_secret_cells_follow_the_paper_rule_over_a_grid(scheme):
                 params = lay.sparams.base
                 free = info_cells(params)
                 rule = [_holds_secret_reference(x, I, ell, scheme) for x, I in free]
-                assert lay.secret_cells == tuple(c for c, s in zip(free, rule) if s)
-                assert lay.key_cells == tuple(c for c, s in zip(free, rule) if not s)
+                secret = [c for c, s in zip(free, rule) if s]
+                key = [c for c, s in zip(free, rule) if not s]
+                assert list(lay.secret_cells) == secret and key_cells(lay) == key
                 # Zero capacity exactly at the Type-II codes with m > d - ell.
                 assert (lay.secret_count == 0) == (scheme is Scheme.TYPE_II and m > d - ell)
                 subsets = list(params.columns.subsets())
-                for (rows, cols), cells in (
-                    (lay.secret_index, lay.secret_cells),
-                    (lay.key_index, lay.key_cells),
-                ):
-                    assert [(x + 1, subsets[c]) for x, c in zip(rows.tolist(), cols.tolist())] == list(cells)
+                for (rows, cols), cells in ((lay.secret_index, secret), (lay.key_index, key)):
+                    assert [(x + 1, subsets[c]) for x, c in zip(rows.tolist(), cols.tolist())] == cells
 
 
 def test_type_ii_remark4_parities_inside_d_touch_only_secrets():
@@ -173,7 +179,7 @@ def test_assemble_zero_inputs_and_count_errors():
 def test_type_i_parity_mixes_key_and_secret_like_worked_example():
     # group {1,3,4}: M(4,{1,3}) = -(key at (1,{3,4})) + (secret at (3,{1,4}))
     lay = layout_for(8, 6, 2, 2, Scheme.TYPE_I)
-    assert (1, (3, 4)) in lay.key_cells
+    assert (1, (3, 4)) in key_cells(lay)
     assert (3, (1, 4)) in lay.secret_cells
     rng = np.random.default_rng(9)
     s = rng.integers(0, 11, 40)
@@ -188,8 +194,8 @@ def test_type_i_parity_mixes_key_and_secret_like_worked_example():
 def test_type_ii_parity_in_c_block_mixes_keys_like_worked_example():
     # group {2,5,6}: M(6,{2,5}) = -(key at (2,{5,6})) + (key at (5,{2,6}))
     lay = layout_for(8, 6, 2, 2, Scheme.TYPE_II)
-    assert (2, (5, 6)) in lay.key_cells
-    assert (5, (2, 6)) in lay.key_cells
+    assert (2, (5, 6)) in key_cells(lay)
+    assert (5, (2, 6)) in key_cells(lay)
     rng = np.random.default_rng(10)
     s = rng.integers(0, 11, 20)
     k = rng.integers(0, 11, 50)
@@ -210,7 +216,7 @@ def test_node_share_column_structure_type_i():
         partners = parity_partners(x, (1, 2))
         assert sorted((sign, y) for sign, y, _ in partners) == [(-1, 1), (1, 2)]
         for _, y, Y in partners:
-            assert (y, Y) in lay.key_cells
+            assert (y, Y) in key_cells(lay)
 
 
 def test_mbr_equality_of_schemes():

@@ -54,7 +54,7 @@ from detcodes.shards import (
     unpack_bytes,
     write_shard,
 )
-from test_secure import keystream_reference
+from test_secure import key_cells, keystream_reference
 
 
 def make_codec(scheme=Scheme.TYPE_II, ell=2, n=8, d=6, m=2):
@@ -455,7 +455,7 @@ def _ranked_tables(params, layout):
     repair = params.repair_table
     tables = {
         "secret cols": (layout.secret_index[1], [cols.rank(I) for _, I in layout.secret_cells]),
-        "key cols": (layout.key_index[1], [cols.rank(I) for _, I in layout.key_cells]),
+        "key cols": (layout.key_index[1], [cols.rank(I) for _, I in key_cells(layout)]),
         "parity rows": (parity_rows, [J[-1] - 1 for J in groups]),
         "parity cols": (parity_cols, [cols.rank(J[:-1]) for J in groups]),
         "parity signs": (
@@ -569,30 +569,42 @@ def test_repair_refuses_failed_id_out_of_range_before_any_output(tmp_path, capsy
     assert _tree(tmp_path) == before
 
 
+def _assert_refused_where_read(codec, shards, raw, match):
+    """Node 1's shard, replaced by ``raw``, is refused wherever its payload
+    is read: its symbols, a recover that reads it among the first d, and a
+    repair that takes it as a helper.  `Shard.from_bytes` checks the header
+    and the size alone."""
+    bad = Shard.from_bytes(bytes(raw))
+    with pytest.raises(ShardFormatError, match=match):
+        bad.symbols
+    with pytest.raises(ShardFormatError, match=match):
+        codec.recover_file([bad, *shards[1:6]])
+    with pytest.raises(ShardFormatError, match=match):
+        codec.repair_shard(8, [bad, *shards[1:6]])
+
+
 def test_out_of_field_symbol_rejected_on_read():
     # At q = 11 a payload byte holds two 4-bit symbols, the first in its low
     # nibble; 15 fits the nibble but not the field.
     codec = make_codec()
-    raw = bytearray(codec.encode_file(b"abc", seed=1, seed_present=True)[0].to_bytes())
+    shards = codec.encode_file(b"abc", seed=1, seed_present=True)
+    raw = bytearray(shards[0].to_bytes())
     raw[68] = raw[68] & 0xF0 | 0x0F
-    with pytest.raises(ShardFormatError, match="outside GF"):
-        Shard.from_bytes(bytes(raw))
+    _assert_refused_where_read(codec, shards, raw, "outside GF")
     raw[68] = raw[68] & 0xF0 | 10
     assert Shard.from_bytes(bytes(raw)).symbols[0] == 10
     raw[69] = 0xB0
-    with pytest.raises(ShardFormatError, match="outside GF"):
-        Shard.from_bytes(bytes(raw))
+    _assert_refused_where_read(codec, shards, raw, "outside GF")
 
 
 def test_nonzero_pad_bits_rejected_on_read():
     # 15 symbols of 4 bits fill 8 bytes; the high nibble of the last is pad.
     codec = make_codec()
-    shard = codec.encode_file(b"abc", seed=1, seed_present=True)[0]
-    raw = bytearray(shard.to_bytes())
-    assert shard.header.payload_symbols == 15 and len(raw) == 68 + 8 and raw[-1] >> 4 == 0
+    shards = codec.encode_file(b"abc", seed=1, seed_present=True)
+    raw = bytearray(shards[0].to_bytes())
+    assert shards[0].header.payload_symbols == 15 and len(raw) == 68 + 8 and raw[-1] >> 4 == 0
     raw[-1] |= 0x10
-    with pytest.raises(ShardFormatError, match="nonzero pad bits"):
-        Shard.from_bytes(bytes(raw))
+    _assert_refused_where_read(codec, shards, raw, "nonzero pad bits")
 
 
 @pytest.mark.parametrize("value", [11, 60000, 70000, -1], ids=["q", "below-2^16", "2^16+", "negative"])
@@ -750,11 +762,45 @@ def test_block_loop_does_per_file_setup_once(monkeypatch, shape):
     assert calls == {"inv": 3}
 
 
+def test_in_memory_shards_pack_and_unpack_only_in_the_block_loop(monkeypatch):
+    # A shard is its bytes: wrapping and returning them converts nothing,
+    # and each in-memory op packs or unpacks the payloads of all its shards
+    # once per block, as the streaming ops do.
+    import detcodes.shards as shards_module
+
+    codec = make_codec()
+    data = _data_for_stripes(codec, 2 * codec.block_stripes + 1)  # 3 blocks
+    shards = codec.encode_file(data, seed=4, seed_present=True)
+    calls = {}
+    for name in ("_pack_payload", "_unpack_payload"):
+
+        def counted(*args, _name=name, _real=getattr(shards_module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(shards_module, name, counted)
+
+    def count(op):
+        calls.clear()
+        return op(), dict(calls)
+
+    assert shards[0].to_bytes() is shards[0].to_bytes()
+    assert count(lambda: Shard.from_bytes(shards[0].to_bytes()))[1] == {}
+    assert count(lambda: shards[0].symbols)[1] == {"_unpack_payload": 1}
+    encoded, counts = count(lambda: codec.encode_file(data, seed=4, seed_present=True))
+    assert counts == {"_pack_payload": 3}
+    assert [s.to_bytes() for s in encoded] == [s.to_bytes() for s in shards]
+    assert count(lambda: codec.recover_file(shards)) == (data, {"_unpack_payload": 3})
+    (rebuilt, _), counts = count(lambda: codec.repair_shard(1, shards[1:7]))
+    assert counts == {"_unpack_payload": 3, "_pack_payload": 3}
+    assert rebuilt.to_bytes() == shards[0].to_bytes()
+
+
 def test_codec_memory_stays_within_payload_multiples():
     # tracemalloc sees numpy's buffers and is deterministic for fixed
-    # inputs.  Bounds: measured peaks (1.35x, 0.38x and 0.38x of the payload
-    # bytes involved, numpy 2.4, float32 blocks at q = 11; 1.35x, 0.41x and
-    # 0.39x in float64) plus a margin; the whole-file codec needed 10.8x,
+    # inputs.  Bounds: measured peaks (0.43x, 0.11x and 0.10x of the payload
+    # bytes involved, numpy 2.4, float32 blocks at q = 11; 0.48x, 0.16x and
+    # 0.14x in float64) plus a margin; the whole-file codec needed 10.8x,
     # 7.7x and 6.9x.
     codec = make_codec()
     warm = codec.encode_file(b"warm up the tables", seed=1, seed_present=True)
@@ -782,9 +828,9 @@ def test_codec_memory_stays_within_payload_multiples():
 
 
 def test_recover_file_packs_only_the_shards_it_reads():
-    # Shards past the first d are checked by their headers alone, so more
-    # shards cost no more memory (before, 2.97 MiB from 8 against 2.47 MiB
-    # from 6, by tracemalloc).
+    # Every shard is read in place from its own bytes, and shards past the
+    # first d are checked by their headers alone, so more shards cost no
+    # more memory.
     codec = make_codec()
     data = np.random.default_rng(5).integers(0, 256, 256 * 1024, dtype=np.uint8).tobytes()
     shards = codec.encode_file(data, 7, True)
