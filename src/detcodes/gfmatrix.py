@@ -1,12 +1,14 @@
 """Dense exact linear algebra over GF(q).
 
 Matrices are immutable wrappers around 2-D int64 numpy arrays holding
-canonical residues.  One period rule (`_period`) keeps int64 exact in the
-one product, `matmul`, and in the one forward elimination behind ranks,
-`rref` and `inv`, which pivots on the first nonzero: over an exact field
-there is no numerical pivot strategy to worry about.  Row operations are
-vectorized, so ranks of the audits' few-hundred-row matrices stay cheap.
-The file codec's float products follow one float rule, `_float_dtype`.
+canonical residues.  The one forward elimination behind ranks, `rref` and
+`inv` pivots on the first nonzero (over an exact field there is no
+numerical pivot strategy to worry about) in the integer type and period
+of one rule, `_int_kernel`: int32 for q <= 46,337, else int64 under
+`_period`.  The one product, `matmul`, is a GEMM in `_float_dtype`'s
+type (the file codec's float rule) while its sums stay below 2^53, else
+int64 under `_period`.  Row operations are vectorized, so ranks of the
+audits' few-hundred-row matrices stay cheap.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ def _period(q: int) -> int:
     return (1 << 62) // (q - 1) ** 2
 
 
+def _int_kernel(q: int) -> tuple[type[np.signedinteger], int]:
+    """The elimination's integer type and period: int32 when a reduced int32
+    sum can take t = (2^31 - q) // (q-1)^2 >= 1 products (q - 1 + t(q-1)^2 <
+    2^31), true for q <= 46,337 among primes; int64 with `_period(q)` else."""
+    wide = _period(q)  # checks q before dividing by (q-1)^2
+    narrow = ((1 << 31) - q) // (q - 1) ** 2
+    return (np.int32, narrow) if narrow >= 1 else (np.int64, wide)
+
+
 def _float_dtype(k: int, q: int) -> type[np.floating]:
     """The float type of an exact product with inner dimension k over
     residues below q: float32 when k(q-1)^2 < 2^24 - q, so that every
@@ -41,17 +52,22 @@ def _float_dtype(k: int, q: int) -> type[np.floating]:
 
 
 def matmul(a: object, b: object, q: int) -> np.ndarray:
-    """Exact ``a @ b`` mod q as int64 residues, with numpy's matmul broadcasting;
-    sums are reduced every `_period(q)` products along the inner dimension."""
+    """Exact ``a @ b`` mod q as int64 residues, with numpy's matmul broadcasting:
+    one `_float_dtype(k, q)` product and `_mod` while k(q-1)^2 < 2^53 - q, else
+    int64 sums reduced every `_period(q)` products along the inner dimension k."""
     period = _period(q)
     a, b = np.asarray(a, dtype=np.int64) % q, np.asarray(b, dtype=np.int64) % q
     inner = max(b.ndim - 2, 0)  # b's summed axis
-    if a.shape[-1] != b.shape[inner]:
+    k = a.shape[-1]
+    if k != b.shape[inner]:
         raise ValueError(f"dimension mismatch for product: {a.shape} @ {b.shape}")
+    if k * (q - 1) ** 2 < (1 << 53) - q:
+        dtype = _float_dtype(k, q)
+        return _mod(a.astype(dtype) @ b.astype(dtype), q).astype(np.int64)
     lead = (slice(None),) * inner
     out = a[..., :period] @ b[lead + (slice(period),)] % q
-    for k in range(period, a.shape[-1], period):
-        out = (out + a[..., k : k + period] @ b[lead + (slice(k, k + period),)]) % q
+    for j in range(period, k, period):
+        out = (out + a[..., j : j + period] @ b[lead + (slice(j, j + period),)]) % q
     return out
 
 
@@ -75,11 +91,14 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return r
 
 
-def _residues(a: object, q: int) -> np.ndarray:
-    """``a`` mod q as int64, once `_period` has accepted q (before ``%``,
-    which would warn at q = 0)."""
+def _residues(a: object, q: int, dtype: type[np.signedinteger] = np.int64) -> np.ndarray:
+    """``a`` mod q as a new ``dtype`` array (via int64 if ``dtype`` cannot hold
+    ``a``), once `_period` has accepted q (before ``%``, which warns at q = 0)."""
     _period(q)
-    return np.asarray(a, dtype=np.int64) % q
+    a = np.asarray(a)
+    if not np.can_cast(a.dtype, dtype):
+        a = np.asarray(a, dtype=np.int64) % q
+    return np.remainder(a, q, dtype=dtype)
 
 
 def _canonical(a: object, q: int) -> np.ndarray:
@@ -91,56 +110,63 @@ def _canonical(a: object, q: int) -> np.ndarray:
     return arr
 
 
-def _forward(a: np.ndarray, q: int, keep_rows: bool) -> list[int]:
-    """Forward elimination of an int64 array in place; returns the pivot
-    columns of a row echelon form.
+def _forward(a: object, q: int, keep_rows: bool) -> tuple[np.ndarray, list[int]]:
+    """Forward elimination of ``a`` mod q, copied into `_int_kernel(q)`'s
+    type; returns the copy and the pivot columns of a row echelon form.
 
     Reduction mod q is delayed (Dumas, Giorgi & Pernet, TOMS 2008): each
-    step reduces only the inspected column and the pivot row, and
-    subtracts their outer product from the trailing block unreduced.  A
-    step moves an entry by at most (q-1)^2, so the block is reduced once
-    every `_period(q)` steps and int64 never overflows; for q < 2^16 that
-    is never in practice, for q near 2^31 every step.
+    step reduces only the inspected column, the pivot row and the
+    multipliers below it, and subtracts their outer product from the
+    trailing block unreduced.  A step moves an entry by at most (q-1)^2,
+    so the block is reduced once per period: every 21 million steps at
+    q = 11 (int32), every step near q = 46,337 (int32) and q = 2^31 (int64).
+    The first all-zero column checks the trailing block once, and stops
+    the elimination if it is zero mod q.
 
-    With ``keep_rows``, row i of ``a`` ends as the i-th pivot row scaled
-    to a leading 1, valid from its pivot column on and reduced mod q;
-    every entry left of a row's pivot, and every row below the rank, is
-    left unspecified.  Rank queries, the audits' hot loop, go without:
-    they store no pivot row, and scale none for a column whose only
-    nonzero is the pivot.
+    With ``keep_rows``, row i of the copy ends as the i-th pivot row scaled
+    to a leading 1, valid from its pivot column on and reduced mod q; the
+    rest is left unspecified.  Rank queries, the audits' hot loop, keep
+    no pivot row, and reduce none for a column whose only nonzero is the
+    pivot.
     """
+    dtype, period = _int_kernel(q)
+    a = _residues(a, q, dtype)
     rows, cols = a.shape
-    period = _period(q)
-    pending = 0
+    pending, check_tail = 0, True
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = a[r:, c] % q
+        sub = a[r:]
+        col = sub[:, c] % q
         nz = col.nonzero()[0]
         if nz.size == 0:
+            if check_tail and not (sub[:, c + 1 :] % q).any():
+                break
+            check_tail = False
             continue
         k = int(nz[0])
         if nz.size > 1 or keep_rows:
-            pivot_row = a[r + k, c + 1 :] % q * pow(int(col[k]), q - 2, q) % q
+            inv = pow(int(col[k]), q - 2, q)
+            pivot_row = sub[k, c + 1 :] % q
         if nz.size > 1:
             if pending == period:
-                a[r:, c + 1 :] %= q
+                sub[:, c + 1 :] %= q
                 pending = 0
             below = nz[1:]
-            a[r + below, c + 1 :] -= col[below, None] * pivot_row
+            sub[below, c + 1 :] -= (col[below] * inv % q)[:, None] * pivot_row
             pending += 1
         if k:
             # Row r is zero in column c and untouched by this step, so it
             # moves to the pivot row's slot.
-            a[r + k, c + 1 :] = a[r, c + 1 :]
+            sub[k, c + 1 :] = sub[0, c + 1 :]
         if keep_rows:
-            a[r, c] = 1
-            a[r, c + 1 :] = pivot_row
+            sub[0, c] = 1
+            sub[0, c + 1 :] = pivot_row * inv % q
         pivots.append(c)
         r += 1
-    return pivots
+    return a, pivots
 
 
 def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
@@ -152,14 +178,13 @@ def echelon_pivots(a: np.ndarray, q: int) -> list[int]:
     input is never modified: reducing it mod q makes the one copy the
     elimination works in.
     """
-    return _forward(_residues(a, q), q, keep_rows=False)
+    return _forward(a, q, keep_rows=False)[1]
 
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns: the forward pass with
     its pivot rows kept, then back substitution from the last pivot up."""
-    work = _residues(a, q)
-    pivots = _forward(work, q, keep_rows=True)
+    work, pivots = _forward(a, q, keep_rows=True)
     out = np.zeros_like(work)
     for i, p in enumerate(pivots):
         out[i, p:] = work[i, p:]

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .code import SystemParams, first_inner_column, packet_support_basis, repair_encoder
-from .gfmatrix import GFMatrix, echelon_pivots, matmul, rank_of
+from .gfmatrix import GFMatrix, _int_kernel, echelon_pivots, matmul, rank_of
 from .secure import MessageLayout, Scheme, SecureParams, assemble_rows
 from .subsets import Subset, binom
 
@@ -34,9 +34,9 @@ from .subsets import Subset, binom
 # Without it a short command line such as (16,14,7) asks for a 16 GiB array,
 # and (60,50,25) for C(50,25) = 1.3e14 message columns.
 MAX_AUDIT_CELLS = 1 << 24
-# Each eavesdropper set costs one elimination, 15 ms for a Type-II (10,8,3)
+# Each eavesdropper set costs one elimination, 8 ms for a Type-II (10,8,3,ell=3)
 # set on a 2-vCPU VM.  The benchmark's largest sweep is 175 sets and the
-# tests' largest 255; this bound is 16 times that, about a minute of such
+# tests' largest 255; this bound is 16 times that, about 35 s of such
 # sets.  Since C(n, 1) = n, it also bounds n, and with it Psi and the n views.
 MAX_AUDIT_SETS = 1 << 12
 
@@ -406,6 +406,8 @@ def audit_set_cap(sp: SecureParams, max_set_size: int | None = None) -> int:
     audit fits MAX_AUDIT_CELLS and MAX_AUDIT_SETS.  The cap must lie in
     [1, n], so that the sweep audits at least one set."""
     params = sp.base
+    if params.d >= params.n:  # the views would hold traffic that no repair sends
+        raise ValueError(f"repair needs d of the other n - 1 nodes, so d < n; got n={params.n}, d={params.d}")
     # At least d^2 cells (C(d,m) * F >= d), a bound checked before C(d,m) is computed.
     if params.d**2 > MAX_AUDIT_CELLS or params.d * params.alpha * params.file_size > MAX_AUDIT_CELLS:
         raise ValueError(
@@ -441,15 +443,16 @@ def audit_sweep(
     cap = audit_set_cap(sp, max_set_size)
     maps = cell_maps(layout)
     fs, nk = layout.secret_count, layout.key_count
-    # Each node's view is built once per sweep, key first ([M_Q | M_S], the
-    # order it is eliminated in), so each set's stack goes to the kernel as is.
+    # Each node's view is built once per sweep, key first ([M_Q | M_S]) and in
+    # the kernel's type (`_int_kernel`), so each set's stack goes to it as is.
     nodes = range(1, params.n + 1)
+    dtype = _int_kernel(params.q)[0]
     if sp.scheme is Scheme.TYPE_II:
         key_first_maps = np.concatenate([maps[..., fs:], maps[..., :fs]], axis=2)
-        views = [reduced_traffic_rows(f, psi, params, key_first_maps) for f in nodes]
+        views = [reduced_traffic_rows(f, psi, params, key_first_maps).astype(dtype) for f in nodes]
     else:
         contents = (observe_node_contents([f], psi, layout, maps=maps) for f in nodes)
-        views = [np.hstack([obs.key_map, obs.secret_map]) for obs in contents]
+        views = [np.hstack([obs.key_map, obs.secret_map]).astype(dtype) for obs in contents]
     rows: list[AuditRow] = []
     for size in range(1, cap + 1):
         for L in combinations(nodes, size):

@@ -553,6 +553,8 @@ class StripedCodec:
         return the n headers.  The outputs must be seekable: the headers
         are written again once the input's digest fixes the object id."""
         params, q = self.params, self.q
+        if params.d >= params.n:  # older shards with n = d still recover
+            raise ValueError(f"repair needs d of the other n - 1 nodes, so d < n; got n={params.n}, d={params.d}")
         per, nk, w = self.symbols_per_stripe, self.layout.key_count, symbol_width(q)
         packed = -(-8 * length // w)
         stripes = self.stripe_count_for(packed)

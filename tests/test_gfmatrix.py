@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import product
 
@@ -5,7 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcodes.gfmatrix import GFMatrix, SingularMatrixError, _rref, echelon_pivots, matmul, rank_of
+from detcodes import gfmatrix
+from detcodes.gf import is_prime
+from detcodes.gfmatrix import (
+    GFMatrix,
+    SingularMatrixError,
+    _float_dtype,
+    _int_kernel,
+    _rref,
+    echelon_pivots,
+    matmul,
+    rank_of,
+)
 
 
 def rand_matrix(rng, rows, cols, q):
@@ -197,7 +209,7 @@ def elimination_case(draw):
     At q = 2^31 - 1 one pivot step can move an entry by almost 2^62, so
     the kernel's periodic reduction runs on every step there.
     """
-    q = draw(st.sampled_from([2, 3, 11, 65521, 2**31 - 1]))
+    q = draw(st.sampled_from([2, 3, 11, 46337, 46349, 65521, 2**31 - 1]))
     kind = draw(st.sampled_from(["random", "low-rank", "sparse", "tall", "wide", "empty"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "empty":
@@ -257,3 +269,139 @@ def test_inverse_large_field(n):
     a = GFMatrix(q, np.random.default_rng(n).integers(0, q, (n, n)))
     product = a.a.astype(object).dot(a.inv().a.astype(object)) % q
     assert np.array_equal(product.astype(np.int64), np.eye(n, dtype=np.int64))
+
+
+# -- each exactness rule at its edge, against Python ints --------------------------
+
+
+def python_echelon(a, q):
+    """Reduced row echelon form and pivot columns by textbook Gauss-Jordan
+    over GF(q) in Python ints, every entry reduced after every step: a
+    reference that shares no code or integer type with the kernel."""
+    rows = [[int(x) % q for x in row] for row in np.asarray(a).tolist()]
+    cols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], q - 2, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def test_int_kernel_rule():
+    # int32 while (2^31 - q) // (q-1)^2 >= 1: 46,337 is the last prime
+    # there, with period 1, so the block is reduced on every step.
+    assert _int_kernel(11) == (np.int32, ((1 << 31) - 11) // 100)
+    assert _int_kernel(46337) == (np.int32, 1)
+    assert is_prime(46337) and not any(is_prime(q) for q in range(46338, 46349))
+    assert _int_kernel(46349) == (np.int64, (1 << 62) // 46348**2)
+    assert _int_kernel(65521)[0] is np.int64 and _int_kernel(2**31 - 1) == (np.int64, 1)
+
+
+def edge_matrices(q, rows, cols, seed):
+    """Random, low-rank and all-(q-1) matrices: all q - 1 makes every
+    product of a step (q-1)^2, the largest growth per step."""
+    rng = np.random.default_rng(seed)
+    return {
+        "random": rng.integers(0, q, (rows, cols)),
+        "low-rank": low_rank(rng, rows, cols, min(rows, cols) // 2, q),
+        "all q-1": np.full((rows, cols), q - 1),
+    }
+
+
+@pytest.mark.parametrize("q", [46337, 46349])
+@pytest.mark.parametrize("shape", [(12, 12), (20, 9), (9, 20)])
+def test_elimination_exact_at_the_int32_edge(q, shape):
+    for kind, a in edge_matrices(q, *shape, seed=q + shape[0]).items():
+        ref_rows, ref_pivots = python_echelon(a, q)
+        assert echelon_pivots(a, q) == ref_pivots, kind
+        assert rank_of(a, q) == len(ref_pivots), kind
+        r, pivots = GFMatrix(q, a).rref()
+        assert list(pivots) == ref_pivots, kind
+        assert r.a.tolist() == ref_rows, kind
+        if shape[0] != shape[1]:
+            continue
+        n = shape[0]
+        if len(ref_pivots) < n:
+            with pytest.raises(SingularMatrixError):
+                GFMatrix(q, a).inv()
+        else:
+            ref_inv, _ = python_echelon(np.hstack([a, np.eye(n, dtype=np.int64)]), q)
+            assert GFMatrix(q, a).inv().a.tolist() == [row[n:] for row in ref_inv], kind
+
+
+def edge_primes(k, bound):
+    """The largest prime q with k(q-1)^2 < bound - q and the least one past it."""
+    q = math.isqrt(bound // k) + 1
+    while k * (q - 1) ** 2 >= bound - q or not is_prime(q):
+        q -= 1
+    above = q + 1
+    while not is_prime(above):
+        above += 1
+    assert k * (above - 1) ** 2 >= bound - above
+    return q, above
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("bound", [1 << 24, 1 << 53], ids=["2^24", "2^53"])
+def test_matmul_exact_at_the_float_edges(monkeypatch, k, bound):
+    # Just below 2^24 - q the product is float32, just above it float64;
+    # just below 2^53 - q float64, and just above it the int64 loop.
+    seen = []
+    mod = gfmatrix._mod
+    monkeypatch.setattr(gfmatrix, "_mod", lambda x, q: seen.append(x.dtype) or mod(x, q))
+    below, above = edge_primes(k, bound)
+    rng = np.random.default_rng(k)
+    for q in (below, above):
+        seen.clear()
+        for a, b in [
+            (np.full((3, k), q - 1), np.full((k, 4), q - 1)),
+            (rng.integers(0, q, (3, k)), rng.integers(0, q, (k, 4))),
+            (np.full((3, k), q - 1), np.full((2, k, 4), q - 1)),  # reduced_traffic_rows
+            (rng.integers(0, q, (3, k)), rng.integers(0, q, (2, k, 4))),
+        ]:
+            expected = (a.astype(object) @ b.astype(object)) % q
+            got = matmul(a, b, q)
+            assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+        if bound == 1 << 24:
+            assert seen == [np.float32 if q == below else np.float64] * 4
+            assert seen[0] == _float_dtype(k, q)
+        else:
+            assert seen == ([np.float64] * 4 if q == below else [])
+
+
+def test_matmul_largest_field_stays_on_the_int64_loop(monkeypatch):
+    monkeypatch.setattr(gfmatrix, "_mod", lambda *a: pytest.fail("float product"))
+    q = 2**31 - 1
+    for a, b in [(np.full((2, 1), q - 1), np.full((1, 3), q - 1)),
+                 (np.full((2, 1), q - 1), np.full((2, 1, 3), q - 1))]:
+        assert matmul(a, b, q).tolist() == ((a.astype(object) @ b.astype(object)) % q).tolist()
+
+
+@pytest.mark.parametrize(
+    "a, pivots",
+    [
+        # After the first step rows 2 and 3 hold -11 and 0 in column 2:
+        # nonzero integers that are zero mod 11, so the elimination stops.
+        ([[1, 0, 5], [3, 0, 4], [2, 0, 10]], [0]),
+        # The first zero column sees a nonzero trailing block and goes on;
+        # later zero columns are not checked again.
+        ([[1, 0, 5, 0, 1], [3, 0, 4, 0, 2], [2, 0, 9, 0, 7]], [0, 2, 4]),
+        ([[0, 0, 0], [0, 0, 0]], []),
+        ([[0, 2, 1], [0, 4, 2]], [1]),
+    ],
+)
+def test_tail_exit_keeps_every_pivot(a, pivots):
+    q = 11
+    assert python_echelon(a, q)[1] == pivots
+    assert echelon_pivots(np.array(a), q) == pivots
+    assert list(GFMatrix(q, np.array(a)).rref()[1]) == pivots

@@ -36,6 +36,7 @@ from detcodes.secure import (
     build_layout,
 )
 from detcodes.subsets import binom
+from test_gfmatrix import python_echelon
 
 
 def make_instance(n, d, m, ell, scheme, seed=0, q=None):
@@ -304,30 +305,37 @@ def test_decoders_reject_malformed_symbols():
 
 @pytest.mark.parametrize(
     "n,d,m,scheme,q",
-    [(7, 5, 2, Scheme.TYPE_I, None), (8, 6, 2, Scheme.TYPE_II, None), (6, 6, 2, Scheme.TYPE_II, 7)],
+    [(7, 5, 2, Scheme.TYPE_I, None), (8, 6, 2, Scheme.TYPE_II, None)],
 )
 def test_decoders_agree_with_the_audit(n, d, m, scheme, q):
     # A decoder returns the keys exactly for the |L| = ell sets whose audit
-    # row says the keys are recoverable; for every other set the view does
-    # not determine them, which is not an inconsistent observation.
+    # row says the keys are recoverable, which at n > d is every such set.
     ps, lay, psi, s, k, M = make_instance(n, d, m, 2, scheme, seed=17, q=q)
     rows = [r for r in audit_sweep(lay, psi) if len(r.nodes) == 2]
-    assert len(rows) == binom(n, 2)
+    assert len(rows) == binom(n, 2) and all(r.keys_recoverable for r in rows)
     contents = psi.a @ M.a % ps.q
     for row in rows:
         L = row.nodes
         if scheme is Scheme.TYPE_I:
-            args = (contents[[i - 1 for i in L]], s, psi, L, lay)
-            decode = decode_keys_type_i
+            decoded = decode_keys_type_i(contents[[i - 1 for i in L]], s, psi, L, lay)
         else:
-            args = (all_packets(M, psi, L, ps), s, psi, L, lay)
-            decode = decode_keys_type_ii
-        if row.keys_recoverable:
-            assert np.array_equal(decode(*args), k)
-        else:
-            with pytest.raises(ValueError) as err:
-                decode(*args)
-            assert not isinstance(err.value, InconsistentObservationError)
+            decoded = decode_keys_type_ii(all_packets(M, psi, L, ps), s, psi, L, lay)
+        assert np.array_equal(decoded, k)
+
+
+def test_decoder_refuses_a_view_that_does_not_determine_the_keys():
+    # At n = d, which the audit refuses, the traffic into two nodes comes
+    # from d - 1 helpers each, and the ranks of every pair's view say that
+    # it does not pin down the keys.  The decoder says so, which is not an
+    # inconsistent observation.
+    ps, lay, psi, s, k, M = make_instance(6, 6, 2, 2, Scheme.TYPE_II, seed=17, q=7)
+    with pytest.raises(ValueError, match="d < n; got n=6, d=6"):
+        audit_sweep(lay, psi)
+    for L in combinations(range(1, 7), 2):
+        assert not keys_recoverable(observe_repair_traffic(L, psi, lay))
+        with pytest.raises(ValueError, match="does not determine every key") as err:
+            decode_keys_type_ii(all_packets(M, psi, L, ps), s, psi, L, lay)
+        assert not isinstance(err.value, InconsistentObservationError)
 
 
 def test_decode_keys_type_ii_ell_equals_d():
@@ -459,6 +467,43 @@ def test_audit_sweep_builds_each_node_view_once(monkeypatch, scheme, builder):
     monkeypatch.setattr(leakage, builder, counted)
     assert audit_sweep(lay, psi) == expected
     assert len(expected) == 7 + 21 and len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "n,d,m,ell,scheme,cap",
+    [(8, 6, 2, 2, Scheme.TYPE_II, 4), (8, 6, 3, 0, Scheme.PLAIN, 2)],
+    ids=["type2-8-6-2", "plain-8-6-3"],
+)
+def test_audit_sweep_rows_match_reference_ranks(monkeypatch, n, d, m, ell, scheme, cap):
+    # Sets past ell leak, so every figure of a row is checked, not only
+    # zeros.  Each set goes once through `observation_ranks` and once
+    # through `echelon_pivots`, the names the benchmark's tracer times.
+    ps, lay, psi, *_ = make_instance(n, d, m, ell, scheme)
+    calls = {"observation_ranks": 0, "echelon_pivots": 0}
+    for name in calls:
+        original = getattr(leakage, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(leakage, name, counted)
+    rows = audit_sweep(lay, psi, max_set_size=cap)
+    sets = sum(binom(n, size) for size in range(1, cap + 1))
+    assert len(rows) == sets and calls == {"observation_ranks": sets, "echelon_pivots": sets}
+    assert any(row.leaked for row in rows)
+    maps, fs, nk = cell_maps(lay), lay.secret_count, lay.key_count
+    if scheme is Scheme.TYPE_II:
+        views = [reduced_traffic_rows(f, psi, ps, maps) for f in range(1, n + 1)]
+    else:
+        views = [full_map(observe_node_contents([f], psi, lay)) for f in range(1, n + 1)]
+    for row in rows:
+        view = np.vstack([views[f - 1] for f in row.nodes])  # [M_S | M_Q]
+        entropy = len(python_echelon(view, ps.q)[1])
+        key_rank = len(python_echelon(view[:, fs:], ps.q)[1])
+        assert (row.entropy, row.leaked, row.keys_recoverable) == (
+            entropy, entropy - key_rank, key_rank == nk
+        ), row.nodes
 
 
 def test_audit_set_count_bounded_before_anything_is_built(monkeypatch):

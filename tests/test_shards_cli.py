@@ -1187,15 +1187,37 @@ def test_cli_audit_ell_zero_rejected(capsys):
     assert out == "" and "max set size (default ell)" in err
 
 
-def test_cli_audit_n_equals_d_matches_checked_in_output(capsys):
-    # At n = d every view keeps all n-1 = d-1 helpers.  Their traffic does
-    # not pin down the keys, so the sweep prints FAIL, byte for byte as
-    # recorded from the literal (n-1)*C(d,m-1)-row views.
-    expected = (DATA / "audit-type2-n6-d6-m2-ell2-q7.txt").read_text()
-    assert run_cli(
-        "audit", "--n", 6, "--d", 6, "--m", 2, "--scheme", "type2", "--ell", 2, "--q", 7
-    ) == 1
-    assert capsys.readouterr().out == expected
+def test_cli_refuses_n_equals_d(tmp_path, capsys):
+    # At n = d a failed node has only n - 1 = d - 1 other nodes, so no
+    # repair can draw on d helpers: encode writes nothing and audit, which
+    # would audit traffic that repair never sends, prints nothing.
+    code = ["--n", 6, "--d", 6, "--m", 2, "--scheme", "type2", "--ell", 1, "--q", 11]
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(3000))
+    out = tmp_path / "new" / "shards"
+    assert run_cli("encode", src, "--out", out, *code, "--seed", 1) == 2
+    assert run_cli("audit", *code) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("d < n; got n=6, d=6") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
+def test_shards_written_with_n_equals_d_still_recover():
+    # Earlier versions encoded n = d codes.  Psi's row i and the keys do not
+    # depend on n, so shards 1..6 of a (7,6,2) encode, with n = 6 in their
+    # headers, are what such a version wrote for (6,6,2): they still open and
+    # recover.
+    data = os.urandom(5000)
+    shards = make_codec(n=7).encode_file(data, seed=5, seed_present=True)
+    old = []
+    for shard in shards[:6]:
+        raw = shard.to_bytes()
+        header = ShardHeader.from_bytes(raw)
+        old.append(Shard.from_bytes(replace(header, n=6).to_bytes() + raw[header.size :]))
+    codec = StripedCodec(old[0].header.secure_params())
+    assert codec.recover_file(old[::-1]) == data
+    with pytest.raises(ValueError, match="d < n; got n=6, d=6"):
+        codec.encode_file(data, seed=5, seed_present=True)
 
 
 BENCH_REFERENCES = sorted((Path(__file__).parents[1] / "perfbench" / "reference").glob("audit-*.csv"))
