@@ -1,17 +1,21 @@
 """Shard-file format and the striped file codec behind the CLI.
 
-A file is packed into field symbols at floor(log2 q) bits per symbol,
-split into stripes of F_s secrets each (F for plain layouts), and every
+A file is packed into field symbols by one rule of q (`_packing`): each
+group of t <= 6 bytes becomes the k base-q digits of its value where that
+carries more than floor(log2 q) bits per symbol (3 bytes in 7 digits at
+q = 11), and floor(log2 q)-bit slices otherwise.  The symbols are split
+into stripes of F_s secrets each (F for plain layouts), and every
 stripe is assembled with fresh keys, the next run of the file's single
 key stream, and encoded; shard i holds row i of every stripe's codeword.
-Each shard is self-describing: a 68-byte version-2 header (magic ``DETC``,
+Each shard is self-describing: a 68-byte version-3 header (magic ``DETC``,
 twelve little-endian 4-byte integers and a 16-byte object id) followed by
 the payload, b bits per symbol, where b is the smallest of 1, 2, 4, 8 and
 16 that holds q - 1 (4 at q = 11).  Symbol i occupies bits [i*b, (i+1)*b)
 of the payload read as a little-endian bit string, every symbol is below
-q, and the pad bits of the last byte are zero.  Version-1 shards (a
-52-byte header without the id, 16-bit symbols) still read, recover and
-repair; repairing from them writes a version-1 shard.
+q, and the pad bits of the last byte are zero.  Version-2 shards (the
+same header and payload, fixed-width slices at every q) and version-1
+shards (a 52-byte header without the id, 16-bit symbols) still read,
+recover and repair; repair writes the version it reads.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .gfmatrix import GFMatrix, _float_dtype, _mod
 from .secure import KeyStream, MessageLayout, Scheme, SecureParams, assemble_rows, build_layout
 
 MAGIC = b"DETC"
-FORMAT_VERSION = 2
-# Header layout per format version; version 2 appends the object id.
-_HEADERS = {1: struct.Struct("<4s12I"), 2: struct.Struct("<4s12I16s")}
+FORMAT_VERSION = 3
+# Header layout per format version; version 2 appends the object id, and
+# version 3 keeps it and changes only the byte <-> symbol packing (`_packing`).
+_HEADERS = {1: struct.Struct("<4s12I"), 2: struct.Struct("<4s12I16s"), 3: struct.Struct("<4s12I16s")}
 _OBJECT_ID_TAG = b"detcodes object id v2"
 
 # Bound on the codec's tables: the d x C(d,m) message matrix and the n x d
@@ -124,8 +129,7 @@ class ShardHeader:
     def payload_bits(self) -> int:
         """Bits per stored symbol: 16 in version 1, else the smallest of
         1, 2, 4, 8 and 16 that holds q - 1."""
-        need = (self.q - 1).bit_length() if self.version > 1 else 16
-        return next(b for b in (1, 2, 4, 8, 16) if need <= b or b == 16)
+        return _payload_bits(self.q, self.version)
 
     @property
     def payload_bytes(self) -> int:
@@ -134,6 +138,11 @@ class ShardHeader:
     def secure_params(self) -> SecureParams:
         base = SystemParams(self.n, self.d, self.m, Field(self.q))
         return SecureParams(base, self.ell, self.scheme)
+
+
+def _payload_bits(q: int, version: int) -> int:
+    need = (q - 1).bit_length() if version > 1 else 16
+    return next(b for b in (1, 2, 4, 8, 16) if need <= b or b == 16)
 
 
 class Shard:
@@ -321,15 +330,37 @@ def read_shard(path: str | Path) -> Shard:
 # -- byte <-> symbol packing ------------------------------------------------------
 
 
-def symbol_width(q: int) -> int:
-    """Bits carried per symbol: floor(log2 q)."""
-    return q.bit_length() - 1
+@functools.lru_cache(maxsize=None)
+def _packing(q: int, version: int = FORMAT_VERSION) -> tuple[int, int, bool]:
+    """The packing group of GF(q) shards of a format version: t input bytes
+    <-> k symbols, and whether the group is a radix one.
+
+    From version 3, a radix group of t <= 6 bytes and the k base-q digits of
+    their value, k smallest with q^k >= 2^(8t), where it carries more bits
+    per symbol than w = floor(log2 q): the one with the most, 8t/k, and the
+    smallest t of a tie (t, k = 3, 7 at q = 11).  Otherwise, and in versions
+    1 and 2, w-bit symbols, 8 of them per w bytes.
+    """
+    w = q.bit_length() - 1
+    if not 1 <= w <= 15:
+        raise ValueError(f"{w}-bit symbols do not fit the format; need 2 <= q < 2^16")
+    radix = [(t, next(k for k in range(1, 49) if q**k >= 1 << 8 * t)) for t in range(1, 7)]
+    # 8t/k as a float is exact enough: distinct ratios differ by 1/48^2 or more.
+    t, k = max(radix, key=lambda g: (8 * g[0] / g[1], -g[0]))
+    return (t, k, True) if version >= 3 and 8 * t > w * k else (w, 8, False)
+
+
+def _packed_symbols(length: int, q: int, version: int = FORMAT_VERSION) -> int:
+    """Symbols that a ``length``-byte input packs into: k per group, the
+    last radix group zero-padded to t bytes, the last w-bit symbol to w bits."""
+    t, k, radix = _packing(q, version)
+    return k * -(-length // t) if radix else -(-8 * length // t)
 
 
 @functools.lru_cache(maxsize=None)
 def _pack_weights(w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (w, 8) weights of a group's bytes in its symbols and the (8, w)
-    weights of its symbols in its bytes.
+    """The (w, 8) weights of a w-bit group's bytes in its symbols and the
+    (8, w) weights of its symbols in its bytes.
 
     The group is one bit string, most significant bit first: symbol j
     holds bits [jw, jw + w), byte t bits [8t, 8t + 8).  A symbol is the
@@ -339,8 +370,6 @@ def _pack_weights(w: int) -> tuple[np.ndarray, np.ndarray]:
     and later parts stay below the next integer).  Each weight is 2^e
     with -14 <= e <= 14.
     """
-    if not 1 <= w <= 15:
-        raise ValueError(f"{w}-bit symbols do not fit the format; need 2 <= q < 2^16")
     to_symbols, to_bytes = np.zeros((w, 8)), np.zeros((8, w))
     for j in range(8):
         for t in range(j * w // 8, ((j + 1) * w - 1) // 8 + 1):
@@ -349,38 +378,52 @@ def _pack_weights(w: int) -> tuple[np.ndarray, np.ndarray]:
     return to_symbols, to_bytes
 
 
-def pack_bytes(data: bytes, q: int) -> np.ndarray:
-    """Fixed-width packing of a byte stream into uint16 symbols below 2^w <= q.
-
-    The bytes are read as one big-endian bit string, cut into w-bit
-    symbols and zero-padded to a whole symbol.
-    """
-    w = symbol_width(q)
-    count = -(-8 * len(data) // w)
-    groups = -(-len(data) // w)  # w bytes carry exactly 8 symbols of w bits
-    padded = np.zeros(groups * w, dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    weights, _ = _pack_weights(w)
-    out = np.empty((groups, 8), dtype=np.uint16)
-    _floor_mod(padded.reshape(groups, w) @ weights, (1 << w) - 1, out)
-    return out.reshape(-1)[:count]
+@functools.lru_cache(maxsize=None)
+def _powers(q: int, k: int) -> np.ndarray:
+    """q^0, ..., q^(k-1) in float64, exact for every radix group (`_packing`)."""
+    return np.array([q**i for i in range(k)], dtype=np.float64)
 
 
-def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int) -> bytes:
-    """Inverse of `pack_bytes`: the first byte_length bytes of the low w
-    bits of every symbol."""
-    w = symbol_width(q)
+def pack_bytes(data: bytes, q: int, version: int = FORMAT_VERSION) -> np.ndarray:
+    """Pack a byte stream into uint16 symbols below q, by the group of
+    `_packing`: each radix group's big-endian value v < 2^(8t) becomes its
+    k base-q digits, least significant first; w-bit symbols cut the bytes,
+    read as one big-endian bit string.  Zero bytes pad the last group."""
+    t, k, radix = _packing(q, version)
+    groups = -(-len(data) // t)
+    padded = np.zeros((groups, t), dtype=np.uint8)
+    padded.reshape(-1)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    if not radix:
+        out = np.empty((groups, 8), dtype=np.uint16)
+        _floor_mod(padded @ _pack_weights(t)[0], (1 << t) - 1, out)
+        return out.reshape(-1)[: _packed_symbols(len(data), q, version)]
+    # Digit i of v is floor(v / q^i) - q floor(v / q^(i+1)), a row per digit.
+    digits = np.floor(padded @ _powers(256, t)[::-1] / _powers(q, k)[:, None])
+    digits[:-1] -= digits[1:] * np.float64(q)
+    return digits.T.astype(np.uint16, order="C").reshape(-1)
+
+
+def unpack_bytes(symbols: np.ndarray, q: int, byte_length: int, version: int = FORMAT_VERSION) -> bytes:
+    """Inverse of `pack_bytes`: the first byte_length bytes of the groups of
+    symbols, from the low w bits of each w-bit symbol.  A radix group whose
+    value is 2^(8t) or more maps to no bytes, and is refused."""
+    t, k, radix = _packing(q, version)
     symbols = np.asarray(symbols)
-    if len(symbols) * w < 8 * byte_length:
+    if len(symbols) < _packed_symbols(byte_length, q, version):
         raise ShardFormatError("not enough symbols for the recorded file length")
-    groups = -(-byte_length // w)
-    used = min(len(symbols), 8 * groups)
-    padded = np.zeros(8 * groups, dtype=np.uint16)
-    padded[:used] = symbols[:used]
-    padded &= np.uint16((1 << w) - 1)
-    _, weights = _pack_weights(w)
-    out = np.empty((groups, w), dtype=np.uint8)
-    _floor_mod(padded.reshape(groups, 8) @ weights, 0xFF, out)
+    groups = -(-byte_length // t)
+    if radix:
+        value = symbols[: k * groups].reshape(groups, k) @ _powers(q, k)
+        if (value >= 2.0 ** (8 * t)).any():
+            raise ShardFormatError(f"a group of {k} symbols holds a value of {8 * t} bits or more")
+        out = value.astype(">u8").view(np.uint8).reshape(groups, 8)[:, 8 - t :]
+    else:
+        used = min(len(symbols), 8 * groups)
+        padded = np.zeros((groups, 8), dtype=np.uint16)
+        padded.reshape(-1)[:used] = symbols[:used]
+        padded &= np.uint16((1 << t) - 1)
+        out = np.empty((groups, t), dtype=np.uint8)
+        _floor_mod(padded @ _pack_weights(t)[1], 0xFF, out)
     return out.reshape(-1)[:byte_length].tobytes()
 
 
@@ -433,11 +476,13 @@ class StripedCodec:
         self._decoders: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         # A block's widest float operand is its n x (stripes * alpha)
         # codeword product; recover and repair read d <= n rows.  Blocks
-        # hold whole 8-symbol packing groups (w bytes each) of the file and
-        # whole payload bytes of every shard at any payload width, so every
-        # block packs and unpacks on its own.
-        widest = params.n * params.alpha
-        unit = 8 // math.gcd(self.symbols_per_stripe, params.alpha, 8)
+        # hold whole packing groups of the file in every format version
+        # (k symbols each, `_packing`) and whole payload bytes of every
+        # shard (b bits per symbol; 16 in version 1), so every block packs
+        # and unpacks on its own.
+        widest, per = params.n * params.alpha, self.symbols_per_stripe
+        groups = [k // math.gcd(per, k) for _, k, _ in (_packing(self.q, 2), _packing(self.q))]
+        unit = math.lcm(*groups, 8 // math.gcd(params.alpha * _payload_bits(self.q, FORMAT_VERSION), 8))
         self.block_stripes = max(unit, BLOCK_CELLS // widest // unit * unit)
 
     # -- stripe planning ---------------------------------------------------
@@ -477,7 +522,7 @@ class StripedCodec:
         # Encode pads the packed file to whole stripes, so the recorded
         # length and padding fix the symbol count exactly.
         packed = stripes * self.symbols_per_stripe - head.padding_symbols
-        if packed != -(-8 * head.original_length // symbol_width(self.q)):
+        if packed != _packed_symbols(head.original_length, self.q, head.version):
             raise ShardFormatError("payload symbols do not match the recorded file length")
         return head, stripes
 
@@ -555,8 +600,8 @@ class StripedCodec:
         params, q = self.params, self.q
         if params.d >= params.n:  # older shards with n = d still recover
             raise ValueError(f"repair needs d of the other n - 1 nodes, so d < n; got n={params.n}, d={params.d}")
-        per, nk, w = self.symbols_per_stripe, self.layout.key_count, symbol_width(q)
-        packed = -(-8 * length // w)
+        per, nk, (t, k, _) = self.symbols_per_stripe, self.layout.key_count, _packing(q)
+        packed = _packed_symbols(length, q)
         stripes = self.stripe_count_for(packed)
         if max(length, stripes * params.alpha) >= 1 << 32:
             raise ValueError(f"a {length}-byte input does not fit the shard format")
@@ -582,10 +627,10 @@ class StripedCodec:
         bits = headers[0].payload_bits
         for out, header in zip(outs, headers):
             out.write(header.to_bytes())  # the object id is filled in at the end
-        buf = bytearray(self.block_stripes * per * w // 8)
+        buf = bytearray(self.block_stripes * per // k * t)  # whole groups
         done = 0
         for b in self._blocks(stripes):
-            view = memoryview(buf)[: min(b * per * w // 8, length - done)]
+            view = memoryview(buf)[: min(len(buf), length - done)]
             got = readinto(view)
             if got != len(view):
                 raise ValueError(f"input ended after {done + got} of {length} bytes")
@@ -611,8 +656,9 @@ class StripedCodec:
     def _recover(self, shards: Sequence[ShardFile], out: BinaryIO) -> int:
         """Write the file, block by block, to ``out`` from the first d of
         ``shards``; return its length."""
-        d, q, w = self.params.d, self.q, symbol_width(self.q)
+        d, q = self.params.d, self.q
         head, stripes = self._check_shards(shards)
+        t, k, _ = _packing(q, head.version)
         if len(shards) < d:
             raise ShardFormatError(f"insufficient shards: need {d}, got {len(shards)}")
         chosen = shards[:d]
@@ -620,9 +666,9 @@ class StripedCodec:
         left = head.original_length
         for block in self._payload_blocks(chosen, stripes):
             secrets = self.recover_batch(ids, block.transpose(1, 0, 2)).reshape(-1)
-            size = min(left, len(secrets) * w // 8)
+            size = min(left, self.block_stripes * self.symbols_per_stripe // k * t)
             left -= size
-            out.write(unpack_bytes(secrets, q, size))
+            out.write(unpack_bytes(secrets, q, size, head.version))
         return head.original_length
 
     def _repair(self, failed: int, helpers: Sequence[ShardFile], out: BinaryIO) -> int:
@@ -716,12 +762,22 @@ class StripedCodec:
 # one BLAS sgemm or dgemm, and `_mod` reduces it exactly.
 #
 # The byte <-> symbol packing stays in float64, exact for the same reason.  A
-# packed symbol or byte is the floor of a sum of at most 8 terms v * 2^e
+# fixed-width symbol or byte is the floor of a sum of at most 8 terms v * 2^e
 # (`_pack_weights`), each a dyadic rational below 2^22 with no bits below
 # 2^-14: a symbol's <= 3 bytes (below 2^8) shifted by -7 <= e <= 14, or a
 # byte's symbols (below 2^15) shifted by -14 <= e <= 7.  Every partial sum
 # is then a multiple of 2^-14 below 2^25, 39 significant bits, so BLAS
-# adds it exactly in any order, and the floor is exact.
+# adds it exactly in any order, and the floor is exact.  A radix group's
+# value v < 2^(8t) <= 2^48 is a sum of integer terms below it, so exact,
+# as is each q^i < 2^(8t).  With v = cq^i + r (0 <= r < q^i), fl(v / q^i)
+# is at least c, since c is a float and rounding is monotonic, and below
+# c + 1, which is at least 1/q^i above v / q^i, more than half an ulp
+# there ((c + 1) 2^-53 < 1/q^i, as (c + 1) q^i < 2^49): `_mod`'s argument,
+# with q^i for q.  So floor(fl(v / q^i)) = c, and digit i, c - q floor(v /
+# q^(i+1)), is exact.  Unpacking sums d_i q^i with every d_i < q: each
+# partial sum of an in-range group is an integer at most v, so exact, and
+# a group at or above 2^(8t) sums to 2^(8t) or more, since rounding is
+# monotonic and 2^(8t) is a float; so the range check is exact.
 
 
 def _mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -48,9 +48,10 @@ from detcodes.shards import (
     StripedCodec,
     _mat,
     _mod,
+    _packed_symbols,
+    _packing,
     pack_bytes,
     read_shard,
-    symbol_width,
     unpack_bytes,
     write_shard,
 )
@@ -61,19 +62,101 @@ def make_codec(scheme=Scheme.TYPE_II, ell=2, n=8, d=6, m=2):
     return StripedCodec(SecureParams(system(n, d, m), ell, scheme))
 
 
-def test_symbol_width():
-    assert symbol_width(11) == 3
-    assert symbol_width(7) == 2
-    assert symbol_width(2) == 1
-    assert symbol_width(65521) == 15
+def _primes_below(n):
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve).tolist()
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.binary(max_size=300), st.sampled_from([3, 5, 7, 11, 13, 251, 65521]))
-def test_pack_unpack_roundtrip(data, q):
-    syms = pack_bytes(data, q)
+PRIMES = _primes_below(1 << 16)  # every q the codec accepts
+
+
+def _ref_radix_group(q):
+    """The (t, k) of format v3 by brute force over exact integers: of every
+    t <= 6 bytes and k digits with q^k >= 2^(8t), the most bits per digit,
+    then the fewest bytes; None unless it beats floor(log2 q) bits."""
+    w = q.bit_length() - 1
+    best = None
+    for t in range(1, 7):
+        k = 1
+        while q**k < 256**t:
+            k += 1
+        if best is None or t * best[1] > best[0] * k:
+            best = (t, k)
+    return best if 8 * best[0] > w * best[1] else None
+
+
+def _bytes_for(q, symbols):
+    """The longest input that packs into at most ``symbols`` symbols."""
+    t, k, radix = _packing(q)
+    return symbols // k * t if radix else symbols * t // 8
+
+
+def test_packing_rule_matches_brute_force_at_every_prime():
+    gains = 0
+    for q in PRIMES:
+        group = _ref_radix_group(q)
+        w = q.bit_length() - 1
+        for version in (1, 2):
+            assert _packing(q, version) == (w, 8, False)
+        assert _packing(q) == ((*group, True) if group else (w, 8, False)), q
+        gains += group is not None
+    assert gains == 743
+
+
+def test_packing_rule_pinned_values():
+    assert FORMAT_VERSION == 3
+    for q, t, k in [(3, 6, 31), (5, 2, 7), (7, 1, 3), (11, 3, 7), (13, 6, 13), (2039, 4, 3)]:
+        assert _packing(q) == (t, k, True)
+    for q, w in [(2, 1), (17, 4), (257, 8), (65521, 15)]:
+        assert _packing(q) == (w, 8, False)
+    assert _packed_symbols(1_048_576, 11) == 7 * 349_526 == 2_446_682
+    for q in (1, 65537):
+        with pytest.raises(ValueError, match="do not fit the format"):
+            pack_bytes(b"x", q)
+
+
+def _ref_radix_pack(data, q):
+    """Pure-Python radix packing: each t-byte group, zero-padded, read
+    big-endian, as its k base-q digits, least significant first."""
+    t, k = _ref_radix_group(q)
+    digits = []
+    for i in range(0, len(data), t):
+        v = int.from_bytes(data[i : i + t].ljust(t, b"\0"), "big")
+        digits += [v // q**j % q for j in range(k)]
+    return digits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_pack_unpack_roundtrip(q, data):
+    # Any q the codec accepts, the radix and the fixed-width packing alike.
+    t, k, radix = _packing(q)
+    groups = data.draw(st.integers(0, 40))
+    # No bytes, whole groups, or a short last group of 1..t-1 bytes.
+    length = data.draw(st.sampled_from([0, groups * t, max(0, groups * t - data.draw(st.integers(1, t)))]))
+    raw = data.draw(st.binary(min_size=length, max_size=length))
+    syms = pack_bytes(raw, q)
+    assert syms.dtype == np.uint16 and len(syms) == _packed_symbols(length, q)
     assert syms.size == 0 or syms.max() < q
-    assert unpack_bytes(syms, q, len(data)) == data
+    if radix:
+        assert len(syms) == k * -(-length // t) and syms.tolist() == _ref_radix_pack(raw, q)
+    else:
+        assert np.array_equal(syms, _ref_pack_bytes(raw, q))
+    assert unpack_bytes(syms, q, length) == raw
+
+
+def test_radix_unpack_refuses_a_group_of_too_large_a_value():
+    # 11^7 - 1 >= 2^24: seven digits of 10 hold no 3 bytes; one less than
+    # 2^24 (digits of 2^24 - 1) still maps.
+    top = [(2**24 - 1) // 11**j % 11 for j in range(7)]
+    assert unpack_bytes(np.array(top), 11, 3) == b"\xff\xff\xff"
+    for group in ([10] * 7, [(2**24) // 11**j % 11 for j in range(7)]):
+        with pytest.raises(ShardFormatError, match="a group of 7 symbols holds a value of 24 bits or more"):
+            unpack_bytes(np.array(top + group), 11, 6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,7 +180,7 @@ PRIMES_BY_WIDTH = [2, 7, 13, 31, 61, 127, 251, 509, 1021, 2039, 4093, 8191, 1638
 
 def _ref_pack_bytes(data, q):
     """Bit-array packing: one uint8 per bit, w bits per int64 symbol."""
-    w = symbol_width(q)
+    w = q.bit_length() - 1
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     pad = (-len(bits)) % w
     if pad:
@@ -107,7 +190,7 @@ def _ref_pack_bytes(data, q):
 
 
 def _ref_unpack_bytes(symbols, q, byte_length):
-    w = symbol_width(q)
+    w = q.bit_length() - 1
     symbols = np.asarray(symbols, dtype=np.int64)
     shifts = np.arange(w - 1, -1, -1)
     bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
@@ -118,28 +201,29 @@ def _ref_unpack_bytes(symbols, q, byte_length):
     "w,q", list(enumerate(PRIMES_BY_WIDTH, start=1)), ids=[f"w{w}" for w in range(1, 16)]
 )
 def test_packing_matches_bit_array_reference(w, q):
-    assert symbol_width(q) == w
+    # The fixed-width packing of format versions 1 and 2.
+    assert _packing(q, 2) == (w, 8, False)
     rng = np.random.default_rng(q)
     # Every length up to three groups of w bytes, and at w = 3 and 15 also a
     # 64 KiB buffer, which packs and unpacks as one product of thousands of groups.
     for length in [*range(3 * w + 2), *([64 * 1024] if w in (3, 15) else [])]:
         for data in (rng.bytes(length), b"\xff" * length):
-            syms = pack_bytes(data, q)
+            syms = pack_bytes(data, q, 2)
             assert syms.dtype == np.uint16
             assert np.array_equal(syms, _ref_pack_bytes(data, q))
-            assert unpack_bytes(syms, q, length) == data
+            assert unpack_bytes(syms, q, length, 2) == data
             # Any symbols below q, some at or above 2^w, one to spare:
             # only the low w bits of the first ceil(8 length / w) count.
             noise = rng.integers(0, q, len(syms) + 1)
-            assert unpack_bytes(noise, q, length) == _ref_unpack_bytes(noise, q, length)
+            assert unpack_bytes(noise, q, length, 2) == _ref_unpack_bytes(noise, q, length)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.binary(max_size=200), st.sampled_from(PRIMES_BY_WIDTH))
-def test_packing_matches_bit_array_reference_property(data, q):
-    syms = pack_bytes(data, q)
+@given(st.binary(max_size=200), st.sampled_from(PRIMES_BY_WIDTH), st.sampled_from([1, 2]))
+def test_packing_matches_bit_array_reference_property(data, q, version):
+    syms = pack_bytes(data, q, version)
     assert np.array_equal(syms, _ref_pack_bytes(data, q))
-    assert unpack_bytes(syms, q, len(data)) == _ref_unpack_bytes(syms, q, len(data)) == data
+    assert unpack_bytes(syms, q, len(data), version) == _ref_unpack_bytes(syms, q, len(data)) == data
 
 
 def test_unpack_requires_enough_symbols():
@@ -196,8 +280,8 @@ def test_header_rejects_garbage():
     with pytest.raises(ShardFormatError):
         ShardHeader.from_bytes(b"DETC")
     raw = ShardHeader(FORMAT_VERSION, Scheme.TYPE_II, 11, 8, 6, 2, 2, 1, 15, True, 0, 20).to_bytes()
-    with pytest.raises(ShardFormatError, match="unsupported format version 3"):
-        ShardHeader.from_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(ShardFormatError, match="unsupported format version 4"):
+        ShardHeader.from_bytes(raw[:4] + (4).to_bytes(4, "little") + raw[8:])
     with pytest.raises(ShardFormatError, match="too short for a header"):
         ShardHeader.from_bytes(raw[:60])  # longer than a v1 header, shorter than v2
     with pytest.raises(ShardFormatError, match="unknown scheme tag 3"):
@@ -551,6 +635,67 @@ def test_v1_type_ii_shards_repair_in_any_helper_order(tmp_path):
     _assert_repairs_in_both_helper_orders(codec, paths, tmp_path)
 
 
+V2_TYPE2 = DATA / "type2_v2"
+
+
+def test_v2_type_ii_shards_still_recover_and_repair(tmp_path):
+    # Shards of 5000 bytes (random.Random(31415).randbytes) of a Type-II
+    # (8,6,2,ell=2,q=11) file, encoded with --seed 31415 by the last build
+    # that wrote format v2: 3-bit fixed-width packing, 13,334 symbols in
+    # 667 stripes, more than one block.  Repair writes version 2 again.
+    data = (V2_TYPE2 / "input.bin").read_bytes()
+    paths = sorted(V2_TYPE2.glob("shard_*.detc"))
+    shards = [read_shard(p) for p in paths]
+    assert [s.header.node_id for s in shards] == list(range(1, 9))
+    head = shards[0].header
+    assert (head.version, head.scheme, head.q, head.n, head.d, head.m, head.ell) == (
+        2, Scheme.TYPE_II, 11, 8, 6, 2, 2,
+    )
+    assert head.payload_symbols == 667 * 15 and head.padding_symbols == 667 * 20 - 13_334
+    codec = StripedCodec(head.secure_params())
+    assert codec.block_stripes < 667
+    for subset in combinations(shards, 6):
+        assert codec.recover_file(subset) == data
+    assert run_cli("recover", *paths[:1:-1], "--out", tmp_path / "out.bin") == 0
+    assert (tmp_path / "out.bin").read_bytes() == data
+    _assert_repairs_in_both_helper_orders(codec, paths, tmp_path)
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["first-block", "second-block"])
+def test_radix_group_above_the_byte_range_is_refused(tmp_path, capsys, block):
+    # Shards with valid headers whose secrets hold, as the first group of a
+    # block, seven digits of 10: 11^7 - 1 >= 2^24, no 3 bytes.  They are
+    # built by the codec's own batch path, so only the group is at fault.
+    codec = make_codec()
+    per, nk = codec.symbols_per_stripe, codec.layout.key_count
+    data = _data_for_stripes(codec, codec.block_stripes + 3)
+    shards = codec.encode_file(data, seed=3, seed_present=True)
+    stripes = shards[0].header.payload_symbols // codec.params.alpha
+    secrets = np.zeros(stripes * per, dtype=np.uint16)
+    syms = pack_bytes(data, 11)
+    secrets[: len(syms)] = syms
+    at = block * codec.block_stripes * per
+    secrets[at : at + 7] = 10
+    keys = KeyStream(3, 11).draw(stripes * nk).reshape(stripes, nk)
+    cb = codec.encode_batch(codec.assemble_batch(secrets.reshape(stripes, per), keys))
+    bad = [Shard(s.header, cb[:, i, :].reshape(-1)) for i, s in enumerate(shards)]
+    assert sum(not np.array_equal(a.symbols, b.symbols) for a, b in zip(bad, shards)) > 0
+    with pytest.raises(ShardFormatError, match="a group of 7 symbols holds a value of 24 bits or more"):
+        codec.recover_file(bad[2:])
+    paths = []
+    for shard in bad:
+        paths.append(tmp_path / f"shard_{shard.header.node_id:03d}.detc")
+        write_shard(paths[-1], shard)
+    capsys.readouterr()
+    assert run_cli("recover", *paths[2:], "--out", tmp_path / "out.bin") == 2
+    err = capsys.readouterr().err
+    assert err == "error: a group of 7 symbols holds a value of 24 bits or more\n"
+    assert sorted(tmp_path.iterdir()) == paths  # no output, no temp file
+    # Repair moves symbols and unpacks no bytes: it rebuilds the shard as built.
+    rebuilt, _ = codec.repair_shard(1, bad[1:7])
+    assert rebuilt.to_bytes() == bad[0].to_bytes()
+
+
 @pytest.mark.parametrize("failed", [0, 9], ids=["0", "n+1"])
 def test_repair_refuses_failed_id_out_of_range_before_any_output(tmp_path, capsys, failed):
     codec = make_codec()
@@ -651,9 +796,23 @@ def _block_codec(name):
     return StripedCodec(SecureParams(system(n, d, m, q), ell, scheme))
 
 
+def test_blocks_hold_whole_groups_of_every_version_and_whole_payload_bytes():
+    for name in BLOCK_CODES:
+        codec = _block_codec(name)
+        B, q, alpha = codec.block_stripes, codec.q, codec.params.alpha
+        for version in (1, 2, 3):
+            _, k, _ = _packing(q, version)
+            bits = ShardHeader(version, Scheme.PLAIN, q, 8, 6, 2, 0, 1, 0, False, 0, 0).payload_bits
+            assert B * codec.symbols_per_stripe % k == 0 and B * alpha * bits % 8 == 0, (name, version)
+    # A unit of 14 stripes at q = 11 (7-digit groups, 4-bit symbols); the
+    # plain code at q = 65521, whose packing did not change, keeps 8.
+    assert _block_codec("type2-8-6-2").block_stripes == 546
+    assert _block_codec("plain-14-12-4").block_stripes == 8
+
+
 def _data_for_stripes(codec, stripes, seed=0):
     """Random bytes that pack into exactly ``stripes`` stripes."""
-    size = stripes * codec.symbols_per_stripe * symbol_width(codec.q) // 8
+    size = _bytes_for(codec.q, stripes * codec.symbols_per_stripe)
     data = np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
     assert codec.stripe_count_for(len(pack_bytes(data, codec.q))) == stripes
     return data
@@ -920,45 +1079,48 @@ def run_cli(*args):
 # SHA-256 of every shard of `encode --seed 2718` on a 1000-byte input,
 # recorded from an earlier build.  Shard bytes change only on purpose, and
 # these digests change with them.  The keyed layouts were re-pinned for
-# key streams v3 and v4, and all three for format v2 (object id, b-bit
+# key streams v3 and v4, all three for format v2 (object id, b-bit
 # payloads), whose payload symbols and other header fields equal the v1
-# ones.  `test_pinned_keys_are_the_reference_key_stream` checks the keys
-# inside the keyed shards against an independent key-stream reference.
+# ones, and all three for format v3: at q = 11 its radix packing changes
+# the payloads, and at q = 65521 only the header's version field differs.
+# `test_pinned_keys_are_the_reference_key_stream` and
+# `test_pinned_secrets_are_the_reference_packing` check the keys and the
+# secrets inside the shards against independent references.
 PINNED_ENCODES = {
     "plain-6-4-2-q65521": (
         ["--scheme", "plain", "--n", 6, "--d", 4, "--m", 2, "--q", 65521],
         [
-            "69320c94be5d1b51dd9f0a5015c7de057113370c5a14eda81b501a202b82c42a",
-            "da4f85ca31cfa4d1a7aebc3f7458b2f855ae8cc0695992d7c3f1f0ac7a84ac56",
-            "246b5659ff5dd7583be26237c0285ddfece71814ef9f4633b0d20d3bc82ce9b0",
-            "0d901ea6daf7232293e55eedd068f1fbeb8851e0a13b343048409584b1ff4c49",
-            "e5fd2ec910def611fc14d397dcb5a2632fe0346f8c1903216ba99f60002da1cf",
-            "13890b1d1db9b491bbf5dccb2bcee45665692b7861fe2945e07d5aa5ad4be536",
+            "c080f6b7e94b43844eed0f3504daf3823198cf463d2743ff6b06769b3b308c5c",
+            "15ac48b1df45f230ef24281e0c40818db064a0d020545f24228209fdb7e56644",
+            "6dc49f5ad48fa486e2cca230e200052376ccac0113c595d53eedb027ac8965f4",
+            "e913825384be24ba5e252b847c7173379bea9a1b2b09a0a333cdb91f2fb42347",
+            "6c30903569bb16923ebda5be293a8daa373a8e53743801d6488d510f89af9252",
+            "c444318e4003ed4829bccab70a67ab99f7dbc7108ade0a50f69f0223d481e1c6",
         ],
     ),
     "type1-7-5-2-ell2-q11": (
         ["--scheme", "type1", "--ell", 2, "--n", 7, "--d", 5, "--m", 2, "--q", 11],
         [
-            "7e6cc0289a0adb0c5b39f2c0147e8e2012eb8cf5acfe523c6a9fe1914bd843a0",
-            "54f9a8dbac45ad9beed03b3229c10fa8d81fc3057781e52f2342550c0e214aa2",
-            "b03f9db3c4c8eab465c60c78122826acaef0a3912925e24ef08157f5c3d2ff55",
-            "cc21058fb3d8b07ef7f75a6dbbd91a6b6a117df258348392893cf9334485c4f0",
-            "5391f40c3d68cd98b75caea98d59484e849badebfc138acf63eb5db764e31e91",
-            "ad09f394bc08734d31e9783fd3f46508f4977ad50a3e09298bdbc5c421b2b498",
-            "5a2af2a811b3fb629458fc83557e01486c055cf81ecd443a6643ebd604f7577e",
+            "ada1d3ca8f280cb8349b42028f0d79c77fc9b2772e8dd9da2ac72ca66595314d",
+            "2c8e01698a89ffa43cd3b894464299a2528242cf53de8d3c5ff471d7dc827dbe",
+            "d8b22e592dafa588cd462bc2752fcf9e8b254b5cac8df55d4b662cc94cf61a30",
+            "3e2e80b03bc3fe5a08ee32653e9886857386c1cbb71a468a32804cc57f339e28",
+            "dd64b215f7dc1faaa8ba066ec760471f083ae75b0dada77e86dc8126b4f4a357",
+            "88b32d726a07ff34cf019ff9e559370329919b14a9cde42bcf71d5166c5d07c1",
+            "b84b3f5fce3b2941bc55c7961db1e3971e51e2fb19dc74e96a7ce08d80d3cb79",
         ],
     ),
     "type2-8-6-2-ell2-q11": (
         ["--scheme", "type2", "--ell", 2, "--n", 8, "--d", 6, "--m", 2, "--q", 11],
         [
-            "a0f8b86674ca1a20b4633d1f3b9ec25db6373108c5ffe37fadecd07deff3ba89",
-            "eda75f23c56a490875744e885e3c7e7484b8e66c9f6ab4d4a6b483ca8e47b5a1",
-            "f81a42536e5e630a2aab49c024ae9e9639b2ba4d7711019eed2555c500c3be2c",
-            "f16b174f4faf5c1e2188c6769b986a0e98cbe08b551e8c606f7f2ea605f213a1",
-            "0800dd2030b1aa784953300a3a6cbb0821ead63e72cd28ad423b6659378186ab",
-            "0c44c23b0316f628d859cf92d72360ed48d84ed0dc8ef1d877118ba3974ad7c2",
-            "1f1d483eec2043b4acd81510829d01714a7e303fabad558877b462667b424fca",
-            "6cb955235990010b5f420b86ce5e8a3f171f11e79dad6ba49fdb2d8f97ccb194",
+            "12e4e0826360c5ad103138938b048ae07deadcd86edccdb184caf0d28608cbbd",
+            "30fe02d30d2f27d723bdc780545343bd8c25c75c4554372ff3d13d11762220c7",
+            "ce6d07421b34a5d7bf257021ba664f310dab94a2d5cafcb654075fc7bcefb112",
+            "086f70d64bf8331911288111c3d83e75548e4fb5f6155c8facefaadacbc1276d",
+            "1bdb36647bac5c565b6b8cb8b5175f493e6360f831bbfeb5589483d326969523",
+            "7aaef7b7a2c589406e47881bd64cd84df8c20372209b66cb28b9b65eadcffac4",
+            "b49db682d17a3c47e63a8baa1f8f683ffab9a94577c22a2f91cc3a0edbb9afb6",
+            "bd5f753d5faf03e536f62bccb7c2cacb90733617fb1fa3a8e3af4c167f13721f",
         ],
     ),
 }
@@ -992,14 +1154,14 @@ MULTI_BLOCK_ENCODES = {
         (8, 6, 2, Scheme.TYPE_II, 2, 11),
         2 * 4080 + 1700,
         [
-            "dbf61432f00ac37a6cc9da087fa8a82d377b185cfcfb1442916c741f31300f72",
-            "20ee499ec498bf50bf3f62dfbbb92f5df7aaaae3c869870488c829c8b9f451aa",
-            "ee0473670d45e08c31c80c59974dde5d6febd16ac9589bd350a8e0c679c132a2",
-            "f8dc69820b0c8b9072a251b14aa6015df6daf23540313bdeedf30e0b96166a3f",
-            "942ebee8cc0f10f22884167f57524dd700cd5d367f7877178d752c69d3caad17",
-            "ef220ff0ea16c3aca76870d1ef806c4c13032e3bfb6e9237575e0bb42eb57232",
-            "bf90a28985b667fd07bdaa0e91c6e97447db7d5ade513cfd4c893aaf93194124",
-            "0d92060f184d8ed75b01cbf833963717cd9aef3b11082adb966ef98e6c772669",
+            "b6eda77600538e7fd4ec129fa01cd497906b99a49e58c7e12057ab2326cee5d8",
+            "24b431b8791d2c8c206e104fe600ca4b659d2273f66dd6d0e4d9ee5762cfeaae",
+            "13d7de21408adec4d856a9388fae646f651704f2c80ca434c08a8758b7dd82c5",
+            "ef92c1bd297408e7a170ceecdbdf5ea1cf746fe4cf66d9cfbce66bc92cae1ae8",
+            "cd21222e7d66d11adde708139992615f30a2d37b5a7c7305abb423d5ba5327a3",
+            "422fa476fa8151754a1ffe403c134711077327ac2879a52886e6cb501285d335",
+            "b5bb2b0cc17436d19da20d84d5d8c6af6bf00f3d338710b697400f58c484ae6d",
+            "763e2ea394aadd9c5085fc560bfbbfb2ab16a4c554c72bd6759c6afc263697b1",
         ],
     ),
     "plain-14-12-4-q65521": (
@@ -1007,20 +1169,20 @@ MULTI_BLOCK_ENCODES = {
         (14, 12, 4, Scheme.PLAIN, 0, 65521),
         2 * 77220 + 40000,
         [
-            "8f99f5f73006a01a8e50249b0e54c17d5c82ebd2e3814fdabc50aee2c26f8fde",
-            "b690588317b068b880be3499dba6f0a1d430d8b8dfa5c7093e34addcaa162032",
-            "8b1d5da9ddd41820aec7049c58e6da43aec53f3f758866d4c30c13fa97a65585",
-            "55947c5112d20ba1932b03eeda217af2cf997f329e6c43ee08ea8906269549d2",
-            "748059123570bec05865e82c433f9101d4b93f65fda42b9c1323570a5d06f600",
-            "c8a080641ed588feed65aad91591c6778f15c0b04d594cd53247c828c9ab6dd2",
-            "a57868a5d611c5494b452f749d4132745dda78e0cfb23fafef2e5f2ad3013f4f",
-            "9d56b8b5071901c50c71b90550722bba38ae781fcd413e040492d99f38cbbf4c",
-            "16a5396b6e871bd4c47cb9f8eb9b66411569cf6c8e6a5306e54bf84f8358c307",
-            "af4e0a14eb36a9dc73d625973d7a1f28036401e3f9cc4574298832cbf36c09fa",
-            "21e4d1b9984e2f9ab59cb7f8997a13d4cb590973fb9adf2514c2afd7c48b02a2",
-            "2bd8177357e72cd860547ba79adf0b86f010e0d633f3139ec31f795dde143797",
-            "308ba0ddee045b83682ffe58918bb71cc38345cd36e29d26b26b41fea78efea4",
-            "3af8c4148b60ec215d5822a19b47eaa28d0587253980e03fb5bd108e9ec98718",
+            "da373dd0b64e3e45a0cafcb82d3cf2a50e8ee70047f3e65680f77b1a66e1cd2f",
+            "9cf037eda88b9baf6a30c074ae6e1950270bc087f843a26b34120a14fe9f60ba",
+            "08d4628f916005512353f6568d0377f4878782c18dd13ae6c9fd7d0e115fcd03",
+            "bb3f5a46dbff7402f3cbd5e5660fcaaab8d9d9e7cb747e2fe135532cf306d8b5",
+            "f0b8501a787bc859a299bc8e9ca95b3fc83d736a4a5f9f85a18edb571e00c10e",
+            "e469a33672cb27960771b8dabaeef56f219f0a7ff2f0011f7082b1057a8d9c9a",
+            "136ef601d7a9da10bd20fd868a222beb29071378dccbb98bfbc3c202f2987df1",
+            "cad9fcd698d74fdc59fdf4392a63a5fa21f5ce694057e5d818f403a49fa9f46c",
+            "000879ed701dcbdf560709197585528e582f6d3789bb16e0d0e2283b0dbbc3fd",
+            "da5ba847e29a003f2bd5a22b1db2fe842cf4a8f6bfe5eca717a7359ffcdb0eb3",
+            "1d10cbb122c5d46cf58bbc385843289c9b26e69e4c8e391081678f1197760ad4",
+            "abe81b0d2fd729a3ce510c4148878ac19e0d0cbc6295aee7cc9fe7002418dc34",
+            "49d335fb3893bb4b719bb66118f59d0b0be1de8893797a4c91aee9e781d5d531",
+            "bb4620edb50ecb43ad1cb15c069cbc7fd7f56451a879a94e07f680c4846f66af",
         ],
     ),
     "type1-7-5-2-ell2-q11": (
@@ -1028,13 +1190,13 @@ MULTI_BLOCK_ENCODES = {
         (7, 5, 2, Scheme.TYPE_I, 2, 11),
         2 * 7020 + 2900,
         [
-            "bfd0e67b87e9b9f272bc1d64af7779a962f84fdf739f1d5897a70e487b07abc3",
-            "3f165f1c3c6d4df7c55658e4f2080ba1ccb6112aa5461c84b445815f481372c1",
-            "c33215f04d9891ae49b8d4bb488c88cf64de8a8d02c77a97807b12845d2a0bed",
-            "1a34c3cb26527321904e71001a6b1e116913702b54ae21968ae86ae7a9ad18cd",
-            "4f177a9c3cc081d213664c2d4145c44df6c37f65449bd35ffaa8d2b198927c53",
-            "e15f487aae3282419a74bc4830028794fff5b24c6233cc0235a66e201f0c276e",
-            "a4a5f2a829e1eee149a5a7ba82726a9ece9fdf55f0e8ab0e6ca8d8baebb30cf1",
+            "969d034d64f27b16aef561ee0a5a96733117223f860d5ced0936abccdd31aafc",
+            "c9b09f54f3a8d9619d91ab00d4a5d3f55a5221ba2dcd90455dcbb6fb55fec4ca",
+            "6bf73845638ac80b8830375fb55bf15238038166a016da093ed84250d9d9883d",
+            "79b5a0d95655b536fa3b10d4c9983759cf3e912d94696769a9367c60becf9966",
+            "f7902a638688e05210b84673cf1c41d7af1447e3cc5edf3b3d4d3a4cb45ebf7d",
+            "3608036a30551c5383c0c115ee1dda963b063bd147a799c06ae60fbc01ec11b9",
+            "83ab31cb7ad17335b7c84a2345f8f79374fb0b67aad16277a1d0bd59c94a2dba",
         ],
     ),
 }
@@ -1044,7 +1206,7 @@ MULTI_BLOCK_ENCODES = {
 def test_fixed_seed_multi_block_encode_is_pinned(tmp_path, name):
     flags, (n, d, m, scheme, ell, q), length, digests = MULTI_BLOCK_ENCODES[name]
     codec = StripedCodec(SecureParams(system(n, d, m, q), ell, scheme))
-    block_bytes = codec.block_stripes * codec.symbols_per_stripe * symbol_width(q) // 8
+    block_bytes = _bytes_for(q, codec.block_stripes * codec.symbols_per_stripe)
     assert 2 * block_bytes < length < 3 * block_bytes
     shards = _encode_pinned(tmp_path, flags, hashlib.shake_256(name.encode()).digest(length))
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in shards] == digests
@@ -1059,36 +1221,54 @@ def test_multi_block_repair_in_any_helper_order(tmp_path, name):
     _assert_repairs_in_both_helper_orders(codec, paths, tmp_path)
 
 
-# The keyed pinned encodes: CLI flags and input.
-KEYED_PINS = {
-    **{
-        name: (flags, PINNED_INPUT)
-        for name, (flags, _) in PINNED_ENCODES.items()
-        if not name.startswith("plain")
-    },
+# Every pinned encode: CLI flags and input.
+PINS = {
+    **{name: (flags, PINNED_INPUT) for name, (flags, _) in PINNED_ENCODES.items()},
     **{
         f"multi-block-{name}": (flags, hashlib.shake_256(name.encode()).digest(length))
         for name, (flags, _, length, _) in MULTI_BLOCK_ENCODES.items()
-        if not name.startswith("plain")
     },
 }
+KEYED_PINS = {name: pin for name, pin in PINS.items() if "plain" not in name}
 
 
-@pytest.mark.parametrize("name", list(KEYED_PINS))
-def test_pinned_keys_are_the_reference_key_stream(tmp_path, name):
-    # Decode every stripe's message matrix from the last d shards with
-    # Psi_K^-1 (exact GFMatrix algebra, not the codec's float batches):
-    # the key slots of the stripes, one stripe after another, must hold the
-    # word-by-word reference stream of the seed.
-    shards = [read_shard(p) for p in _encode_pinned(tmp_path, *KEYED_PINS[name])]
+def _pinned_messages(tmp_path, name):
+    """The secure parameters and every stripe's message matrix, (d, stripes,
+    alpha), of a pinned encode, decoded from the last d shards with Psi_K^-1
+    (exact GFMatrix algebra, not the codec's float batches)."""
+    shards = [read_shard(p) for p in _encode_pinned(tmp_path, *PINS[name])]
     sparams = shards[0].header.secure_params()
-    params, key_rows, key_cols = sparams.base, *build_layout(sparams).key_index
+    params = sparams.base
     chosen = shards[params.n - params.d :]
     psi_k = vandermonde_encoder(params).submatrix(
         [s.header.node_id - 1 for s in chosen], range(params.d)
     )
     C = GFMatrix(params.q, np.stack([s.symbols.astype(np.int64) for s in chosen]))
-    M = (psi_k.inv() @ C).a.reshape(params.d, -1, params.alpha)  # (d, stripes, alpha)
+    return sparams, (psi_k.inv() @ C).a.reshape(params.d, -1, params.alpha)
+
+
+@pytest.mark.parametrize("name", list(PINS))
+def test_pinned_secrets_are_the_reference_packing(tmp_path, name):
+    # Stripe 0's secret cells, in the layout's order, hold the first input
+    # bytes as packed by the pure-Python references: 7 base-11 digits per 3
+    # bytes at q = 11, 15-bit slices at q = 65521.
+    sparams, M = _pinned_messages(tmp_path, name)
+    rows, cols = build_layout(sparams).secret_index
+    secrets, q, data = M[rows, 0, cols].tolist(), sparams.base.q, PINS[name][1]
+    if q == 11:
+        expected = _ref_radix_pack(data[: len(secrets) // 7 * 3], q)
+    else:
+        expected = _ref_pack_bytes(data, q)[: len(secrets)].tolist()
+    assert len(secrets) - 7 < len(expected) <= len(secrets)
+    assert secrets[: len(expected)] == expected
+
+
+@pytest.mark.parametrize("name", list(KEYED_PINS))
+def test_pinned_keys_are_the_reference_key_stream(tmp_path, name):
+    # The key slots of every stripe's message matrix, one stripe after
+    # another, must hold the word-by-word reference stream of the seed.
+    sparams, M = _pinned_messages(tmp_path, name)
+    params, key_rows, key_cols = sparams.base, *build_layout(sparams).key_index
     keys = M[key_rows, :, key_cols].T  # (stripes, key slots)
     assert keys.size > 0
     assert keys.reshape(-1).tolist() == keystream_reference(2718, params.q, keys.size)
@@ -1121,13 +1301,14 @@ def test_cli_repair_reports_bandwidth_and_bytes_read(tmp_path, capsys):
     _, files = _cli_encoded(tmp_path, 5000)
     capsys.readouterr()
     assert run_cli("repair", *files[1:7], "--failed", 1, "--out", tmp_path / "rebuilt.detc") == 0
-    # 5000 bytes are 13,334 3-bit symbols, 667 stripes of F_s = 20; each
-    # helper stores 667 * alpha = 10,005 4-bit symbols, 5003 payload bytes.
+    # 5000 bytes are 1667 groups of 3 bytes, 11,669 7-digit symbols, 584
+    # stripes of F_s = 20; each helper stores 584 * alpha = 8760 4-bit
+    # symbols, 4380 payload bytes.
     header = read_shard(files[1]).header
-    assert (header.payload_symbols, header.payload_bytes) == (667 * 15, 5003)
+    assert (header.payload_symbols, header.payload_bytes) == (584 * 15, 4380)
     out = capsys.readouterr().out
-    assert "paper's repair bandwidth 20010 symbols (stripes x d x beta, beta=5)" in out  # 667 * 6 * 5
-    assert "read 30018 helper payload bytes (whole shards)" in out  # 6 * 5003
+    assert "paper's repair bandwidth 17520 symbols (stripes x d x beta, beta=5)" in out  # 584 * 6 * 5
+    assert "read 26280 helper payload bytes (whole shards)" in out  # 6 * 4380
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -1553,7 +1734,7 @@ def _with_byte(raw, at, value):
     return raw[:at] + bytes([value]) + raw[at + 1 :]
 
 
-# Faults in one v2 shard of a Type-II (q = 11) file: 4-bit symbols, two per
+# Faults in one v3 shard of a Type-II (q = 11) file: 4-bit symbols, two per
 # byte, the earlier one in the low nibble; the 68-byte header comes first.
 # The payload holds an odd number of symbols, so its last high nibble is pad.
 SHARD_FAULTS = {
@@ -1583,13 +1764,15 @@ NAMED_FAULTS = ["out-of-field-in-first-block", "out-of-field-in-last-block", "no
     + [pytest.param(fault, 4, id=f"{fault}-node4") for fault in NAMED_FAULTS],
 )
 def test_cli_faulty_shard_leaves_output_untouched(tmp_path, capsys, command, fault, node):
-    data, files = _cli_encoded(tmp_path / "a", 16 * 1024)
-    header = read_shard(files[0]).header
-    codec, symbols = StripedCodec(header.secure_params()), header.payload_symbols
+    # An odd number of stripes, over four blocks, by the packing rule.
+    codec = make_codec()
+    size = _bytes_for(11, (4 * codec.block_stripes + 1) * codec.symbols_per_stripe)
+    data, files = _cli_encoded(tmp_path / "a", size)
+    symbols = read_shard(files[0]).header.payload_symbols
     assert symbols > 4 * codec.block_stripes * 15 and symbols % 2 == 1
     bad = files[node - 1]
     if fault == "mixed-objects":
-        _, others = _cli_encoded(tmp_path / "b", 16 * 1024 + 1)
+        _, others = _cli_encoded(tmp_path / "b", size + 1)
         bad.write_bytes(others[0].read_bytes())
         message = "belongs to a different object"
     else:
@@ -1710,15 +1893,17 @@ def test_cli_out_symlink_to_a_directory_is_replaced(tmp_path):
 
 
 def test_cli_type_ii_shards_store_four_bits_per_symbol(tmp_path):
-    # (8,6,2) Type-II at q = 11: 15 symbols per stripe, 4 bits each.
+    # (8,6,2) Type-II at q = 11: 3 input bytes in 7 symbols, 20 of them per
+    # stripe, and 15 stored symbols per stripe, 4 bits each.
     data, files = _cli_encoded(tmp_path, 10_000)
-    stripes = -(-(-(-8 * len(data) // 3)) // 20)
+    stripes = -(-(7 * -(-len(data) // 3)) // 20)
+    assert stripes == 1167
     for path in files:
         header = read_shard(path).header
-        assert header.version == FORMAT_VERSION == 2 and header.payload_symbols == 15 * stripes
+        assert header.version == FORMAT_VERSION == 3 and header.payload_symbols == 15 * stripes
         assert path.stat().st_size == 68 + -(-stripes * 15 * 4 // 8)
     total = sum(p.stat().st_size for p in files)
-    assert 7.9 < total / len(data) < 8.1
+    assert 6.9 < total / len(data) < 7.1
 
 
 @pytest.mark.parametrize(
